@@ -5,6 +5,7 @@
 #include "bench_common.h"
 #include "graph/generators.h"
 #include "graph/maxflow.h"
+#include "seq/connectivity_baseline.h"
 #include "seq/greedy_tree.h"
 #include "seq/havel_hakimi.h"
 #include "util/rng.h"
@@ -52,6 +53,31 @@ void E13_DinicEdgeConnectivity(benchmark::State& state) {
   }
 }
 BENCHMARK(E13_DinicEdgeConnectivity)->RangeMultiplier(4)->Range(256, 4096);
+
+// The connectivity referee on the shape it checks: a hub-and-core graph
+// (the sequential hub construction on zipf thresholds, rmax = 16), with
+// the default schedule of the extremal pair plus 256 sampled pairs, each
+// query capped at its threshold.
+void E13_ThresholdReferee(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(3);
+  const auto rho = graph::zipf_thresholds(n, 16, 2.0, rng);
+  const auto g = seq::connectivity_baseline(rho);
+  for (auto _ : state) {
+    Rng vrng(4);
+    const auto violation = seq::find_threshold_violation(g, rho, vrng);
+    if (violation) {
+      state.SkipWithError("hub construction violated");
+      break;
+    }
+    benchmark::DoNotOptimize(violation);
+  }
+  state.counters["m"] = static_cast<double>(g.m());
+}
+BENCHMARK(E13_ThresholdReferee)
+    ->Arg(4096)
+    ->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
 
 void E13_SimulatorRoundThroughput(benchmark::State& state) {
   // Cost of an idle-ish synchronous round (each node pings its successor).

@@ -1,9 +1,22 @@
 // Dinic's max-flow on unit-capacity undirected graphs, used to verify
 // edge-connectivity thresholds (Menger: edge connectivity = max number of
 // edge-disjoint paths = s-t max flow with unit capacities).
+//
+// Layout: the graph is stored once as CSR. Vertex v's arcs are
+// [off_[v], off_[v+1]); arc i points at head_[i], and rev_[i] is its
+// antiparallel twin. Each undirected edge is two unit arcs, so a residual
+// capacity is 0, 1 or 2 and fits a uint8; a query resets all of them with
+// one fill. Arc indices are uint32, so 2m must fit in 32 bits.
+//
+// Per phase, BFS levels are stamped with an epoch counter (no O(n) clear)
+// and the BFS stops as soon as t is reached; the blocking-flow DFS is
+// iterative, so path length is not bounded by the call stack.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -15,24 +28,36 @@ class EdgeConnectivity {
  public:
   explicit EdgeConnectivity(const Graph& g);
 
-  /// Edge connectivity between s and t (number of edge-disjoint s-t paths).
-  std::uint64_t query(Vertex s, Vertex t);
+  /// Graph on vertices 0..n-1 with the given undirected edges. Self-loops
+  /// are rejected; a repeated edge counts as a parallel edge.
+  EdgeConnectivity(std::size_t n,
+                   std::span<const std::pair<Vertex, Vertex>> edges);
+
+  std::size_t n() const { return off_.size() - 1; }
+
+  /// Edge connectivity between s and t (number of edge-disjoint s-t
+  /// paths), capped at `limit`: returns min(Conn(s, t), limit). Augmenting
+  /// stops as soon as the flow reaches `limit`, so `query(s, t, k) >= k`
+  /// decides Conn(s, t) >= k without computing the exact value. With the
+  /// default limit the result is exact. query(s, s, ·) is 0.
+  std::uint64_t query(Vertex s, Vertex t,
+                      std::uint64_t limit =
+                          std::numeric_limits<std::uint64_t>::max());
 
  private:
-  struct Arc {
-    Vertex to;
-    std::int32_t cap;
-    std::size_t rev;  // index of the reverse arc in arcs_[to]
-  };
-
   bool bfs(Vertex s, Vertex t);
-  std::int64_t dfs(Vertex v, Vertex t, std::int64_t pushed);
-  void reset_caps();
+  bool augment(Vertex s, Vertex t);
 
-  std::size_t n_;
-  std::vector<std::vector<Arc>> arcs_;
-  std::vector<std::int32_t> level_;
-  std::vector<std::size_t> iter_;
+  std::vector<std::uint32_t> off_;  // n + 1 arc offsets
+  std::vector<Vertex> head_;        // 2m arc targets
+  std::vector<std::uint32_t> rev_;  // 2m reverse-arc indices
+  std::vector<std::uint8_t> cap_;   // 2m residual capacities
+  std::vector<std::uint32_t> stamp_;  // epoch at which level_ was set
+  std::vector<std::uint32_t> level_;
+  std::vector<std::uint32_t> iter_;  // current-arc cursor per vertex
+  std::vector<Vertex> queue_;
+  std::vector<std::uint32_t> path_;  // arcs of the DFS path from s
+  std::uint32_t epoch_ = 0;
 };
 
 /// Convenience one-shot query.

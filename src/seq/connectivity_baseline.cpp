@@ -37,16 +37,15 @@ graph::Graph connectivity_baseline(const graph::ThresholdVector& rho) {
 }
 
 std::optional<std::pair<graph::Vertex, graph::Vertex>> find_threshold_violation(
-    const graph::Graph& g, const graph::ThresholdVector& rho, Rng& rng,
-    std::size_t pair_exhaustive_limit, std::size_t samples) {
-  const std::size_t n = g.n();
+    graph::EdgeConnectivity& solver, const graph::ThresholdVector& rho,
+    Rng& rng, std::size_t pair_exhaustive_limit, std::size_t samples) {
+  const std::size_t n = solver.n();
   DGR_CHECK(rho.size() == n);
   if (n < 2) return std::nullopt;
-  graph::EdgeConnectivity solver(g);
 
   auto violates = [&](graph::Vertex a, graph::Vertex b) {
     const std::uint64_t need = std::min(rho[a], rho[b]);
-    return solver.query(a, b) < need;
+    return solver.query(a, b, need) < need;
   };
 
   if (n <= pair_exhaustive_limit) {
@@ -57,11 +56,19 @@ std::optional<std::pair<graph::Vertex, graph::Vertex>> find_threshold_violation(
   }
 
   // Extremal pair: the two largest thresholds are the hardest to satisfy.
-  std::vector<graph::Vertex> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](graph::Vertex a, graph::Vertex b) { return rho[a] > rho[b]; });
-  if (violates(order[0], order[1])) return std::make_pair(order[0], order[1]);
+  // Ascending scan with strict comparisons: ties go to the lowest index.
+  graph::Vertex top = 0;
+  graph::Vertex second = 1;
+  if (rho[1] > rho[0]) std::swap(top, second);
+  for (graph::Vertex v = 2; v < n; ++v) {
+    if (rho[v] > rho[top]) {
+      second = top;
+      top = v;
+    } else if (rho[v] > rho[second]) {
+      second = v;
+    }
+  }
+  if (violates(top, second)) return std::make_pair(top, second);
 
   for (std::size_t s = 0; s < samples; ++s) {
     const auto a = static_cast<graph::Vertex>(rng.below(n));
@@ -70,6 +77,14 @@ std::optional<std::pair<graph::Vertex, graph::Vertex>> find_threshold_violation(
     if (violates(a, b)) return std::make_pair(a, b);
   }
   return std::nullopt;
+}
+
+std::optional<std::pair<graph::Vertex, graph::Vertex>> find_threshold_violation(
+    const graph::Graph& g, const graph::ThresholdVector& rho, Rng& rng,
+    std::size_t pair_exhaustive_limit, std::size_t samples) {
+  graph::EdgeConnectivity solver(g);
+  return find_threshold_violation(solver, rho, rng, pair_exhaustive_limit,
+                                  samples);
 }
 
 }  // namespace dgr::seq

@@ -9,6 +9,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/maxflow.h"
 #include "util/rng.h"
 
 namespace dgr::seq {
@@ -24,9 +25,17 @@ std::uint64_t connectivity_edge_lower_bound(
 graph::Graph connectivity_baseline(const graph::ThresholdVector& rho);
 
 /// Independent verifier: checks Conn(u, v) >= min(rho(u), rho(v)) by
-/// max-flow. Checks all pairs when n <= pair_exhaustive_limit, otherwise
-/// `samples` random pairs plus the extremal ones. Returns the first failing
-/// pair, or nullopt if everything holds.
+/// max-flow, each query capped at that threshold. Checks all pairs when
+/// n <= pair_exhaustive_limit. Otherwise it checks the extremal pair (the
+/// two largest thresholds, ties to the lowest vertex index; no RNG draw),
+/// then `samples` random pairs. Returns the first failing pair, or nullopt
+/// if everything holds.
+std::optional<std::pair<graph::Vertex, graph::Vertex>> find_threshold_violation(
+    graph::EdgeConnectivity& solver, const graph::ThresholdVector& rho,
+    Rng& rng, std::size_t pair_exhaustive_limit = 64,
+    std::size_t samples = 256);
+
+/// Same check on g, through a solver built for the call.
 std::optional<std::pair<graph::Vertex, graph::Vertex>> find_threshold_violation(
     const graph::Graph& g, const graph::ThresholdVector& rho, Rng& rng,
     std::size_t pair_exhaustive_limit = 64, std::size_t samples = 256);

@@ -136,5 +136,61 @@ TEST(Connectivity, ZipfThresholdsNcc0) {
   expect_thresholds_met(net, rho, result.stored, 10);
 }
 
+// Stored lists holding each edge of g once, on its first endpoint's side.
+std::vector<std::vector<ncc::NodeId>> stored_from_graph(
+    const ncc::Network& net, const graph::Graph& g) {
+  std::vector<std::vector<ncc::NodeId>> stored(g.n());
+  for (const auto& [u, v] : g.edges()) stored[u].push_back(net.id_of(v));
+  return stored;
+}
+
+// n = 512 is past the referee's exhaustive limit (64), so this exercises
+// the extremal-pair branch: the hub (ρ = 20) and the runner-up (ρ = 19)
+// lose the edge between them, which leaves the runner-up with degree 18.
+TEST(ConnectivityReferee, SampledPathNamesBrokenExtremalPair) {
+  const std::size_t n = 512;
+  Rng rng(21);
+  auto rho = graph::uniform_thresholds(n, 6, rng);
+  rho[300] = 20;
+  rho[400] = 19;
+  const graph::Graph hub = seq::connectivity_baseline(rho);
+  ASSERT_TRUE(hub.has_edge(300, 400));
+  auto net = testing::make_ncc1(n, 21);
+  const auto honest =
+      validate_connectivity_thresholds(net, rho, stored_from_graph(net, hub), 5);
+  EXPECT_TRUE(honest.ok) << honest.message;
+
+  graph::Graph cut(n);
+  for (const auto& [u, v] : hub.edges())
+    if (!((u == 300 && v == 400) || (u == 400 && v == 300))) cut.add_edge(u, v);
+  ASSERT_EQ(cut.m() + 1, hub.m());
+  const auto broken =
+      validate_connectivity_thresholds(net, rho, stored_from_graph(net, cut), 5);
+  EXPECT_FALSE(broken.ok);
+  EXPECT_EQ(broken.message, "threshold violated for pair (300, 400)");
+}
+
+// The 2-approximation edge check counts distinct edges, exactly as
+// graph_from_stored does: a mirrored entry, a duplicate and a self-entry
+// add nothing to the 4-cycle 0-1-2-3.
+TEST(ConnectivityReferee, EdgeCountCollapsesMirroredDuplicateAndSelfEntries) {
+  auto net = testing::make_ncc1(4, 3);
+  std::vector<std::vector<ncc::NodeId>> stored(4);
+  stored[0] = {net.id_of(1), net.id_of(1), net.id_of(0)};  // dup + self
+  stored[1] = {net.id_of(0), net.id_of(2)};                 // mirror of 0-1
+  stored[2] = {net.id_of(3)};
+  stored[3] = {net.id_of(0)};
+  ASSERT_EQ(graph_from_stored(net, stored).m(), 4U);
+
+  // sum(ρ) = 4: passes only if the cycle counts as 4 edges.
+  const auto tight = validate_connectivity_thresholds(net, {1, 1, 1, 1},
+                                                      stored, 1);
+  EXPECT_TRUE(tight.ok) << tight.message;
+  const auto over = validate_connectivity_thresholds(net, {1, 1, 1, 0},
+                                                     stored, 1);
+  EXPECT_FALSE(over.ok);
+  EXPECT_EQ(over.message, "edge count 4 exceeds the 2-approximation bound 3");
+}
+
 }  // namespace
 }  // namespace dgr::realize

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/maxflow.h"
+#include "seq/connectivity_baseline.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace dgr::graph {
@@ -89,10 +93,18 @@ TEST_P(RandomGraphSweep, MatchesBruteForce) {
     for (Vertex v = u + 1; v < n; ++v)
       if (rng.chance(0.5)) g.add_edge(u, v);
   EdgeConnectivity solver(g);
-  for (Vertex u = 0; u < n; ++u)
-    for (Vertex v = u + 1; v < n; ++v)
-      EXPECT_EQ(solver.query(u, v), brute_force_conn(g, u, v))
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = u + 1; v < n; ++v) {
+      const std::uint64_t exact = brute_force_conn(g, u, v);
+      EXPECT_EQ(solver.query(u, v), exact)
           << "pair (" << u << "," << v << ") seed " << GetParam();
+      // Capped: min(Conn, k) for every cap up to past m.
+      for (std::uint64_t k = 0; k <= g.m() + 1; ++k)
+        EXPECT_EQ(solver.query(u, v, k), std::min(exact, k))
+            << "pair (" << u << "," << v << ") k " << k << " seed "
+            << GetParam();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSweep,
@@ -108,6 +120,80 @@ TEST(MaxFlow, ReusableSolverResets) {
   EXPECT_EQ(solver.query(0, 2), 2u);
   EXPECT_EQ(solver.query(0, 2), 2u);  // second query must match
   EXPECT_EQ(solver.query(1, 3), 2u);
+}
+
+// A capped query stops mid-way through a max-flow; the next query on the
+// same solver must not see its residual state.
+TEST(MaxFlow, AlternatingLimitsLeakNoResidualState) {
+  Rng rng(5);
+  const std::size_t n = 40;
+  Graph g(n);
+  for (Vertex u = 0; u < n; ++u)
+    for (Vertex v = u + 1; v < n; ++v)
+      if (rng.chance(0.25)) g.add_edge(u, v);
+  std::vector<std::uint64_t> exact;
+  {
+    EdgeConnectivity fresh(g);
+    for (Vertex u = 0; u + 1 < n; ++u) exact.push_back(fresh.query(u, u + 1));
+  }
+  EdgeConnectivity solver(g);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (Vertex u = 0; u + 1 < n; ++u) {
+      const std::uint64_t k = (u + static_cast<Vertex>(pass)) % 4;
+      EXPECT_EQ(solver.query(u, u + 1, k), std::min(exact[u], k)) << u;
+      EXPECT_EQ(solver.query(u + 1, u), exact[u]) << u;
+      EXPECT_EQ(solver.query(u, u + 1, exact[u] + 1), exact[u]) << u;
+    }
+  }
+}
+
+// The referee's shape: a hub-and-core graph from the sequential baseline
+// on zipf thresholds, where every vertex meets the hub and the
+// low-numbered core. The capped verdict must match the uncapped value.
+TEST(MaxFlow, CappedVerdictMatchesUncappedOnHubGraph) {
+  Rng rng(11);
+  const std::size_t n = 2048;
+  const auto rho = zipf_thresholds(n, 16, 2.0, rng);
+  const Graph g = seq::connectivity_baseline(rho);
+  EdgeConnectivity capped(g);
+  EdgeConnectivity uncapped(g);
+  for (int i = 0; i < 48; ++i) {
+    const auto a = static_cast<Vertex>(rng.below(n));
+    const auto b = static_cast<Vertex>(rng.below(n));
+    if (a == b) continue;
+    const std::uint64_t exact = uncapped.query(a, b);
+    const std::uint64_t need = std::min(rho[a], rho[b]);
+    for (const std::uint64_t k : {need - 1, need, need + 1, exact, exact + 1}) {
+      const std::uint64_t got = capped.query(a, b, k);
+      EXPECT_EQ(got >= k, exact >= k) << a << "," << b << " k " << k;
+      EXPECT_EQ(got, std::min(exact, k)) << a << "," << b << " k " << k;
+    }
+  }
+}
+
+TEST(MaxFlow, EdgeListConstructorMatchesGraphConstructor) {
+  Rng rng(3);
+  const std::size_t n = 24;
+  Graph g(n);
+  for (Vertex u = 0; u < n; ++u)
+    for (Vertex v = u + 1; v < n; ++v)
+      if (rng.chance(0.3)) g.add_edge(u, v);
+  // Same edges, reversed order and flipped endpoints.
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (const auto& [u, v] : g.edges()) edges.emplace_back(v, u);
+  std::reverse(edges.begin(), edges.end());
+  EdgeConnectivity from_graph(g);
+  EdgeConnectivity from_list(n, edges);
+  EXPECT_EQ(from_list.n(), n);
+  for (Vertex u = 0; u < n; ++u)
+    for (Vertex v = u + 1; v < n; ++v)
+      EXPECT_EQ(from_list.query(u, v), from_graph.query(u, v))
+          << u << "," << v;
+}
+
+TEST(MaxFlow, EdgeListConstructorRejectsSelfLoop) {
+  const std::vector<std::pair<Vertex, Vertex>> edges{{0, 1}, {2, 2}};
+  EXPECT_THROW(EdgeConnectivity solver(3, edges), CheckError);
 }
 
 }  // namespace

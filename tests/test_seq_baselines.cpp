@@ -141,5 +141,49 @@ TEST(FindThresholdViolation, DetectsInsufficientGraph) {
   EXPECT_TRUE(find_threshold_violation(g, rho, rng).has_value());
 }
 
+// Above the exhaustive limit the extremal pair is checked first. On the
+// empty graph every pair violates, so the result is exactly that pair:
+// the two largest thresholds, ties to the lowest vertex index, chosen
+// without drawing from the RNG.
+TEST(FindThresholdViolation, ExtremalPairBreaksTiesByLowestIndex) {
+  const std::size_t n = 256;
+  const graph::Graph empty(n);
+  using Pair = std::pair<graph::Vertex, graph::Vertex>;
+
+  graph::ThresholdVector tied(n, 2);
+  for (const graph::Vertex v : {200U, 17U, 99U, 40U}) tied[v] = 8;
+  Rng rng(1);
+  Rng untouched = rng;
+  EXPECT_EQ(find_threshold_violation(empty, tied, rng), Pair(17, 40));
+  EXPECT_EQ(rng(), untouched());
+
+  graph::ThresholdVector late_max(n, 3);
+  late_max[0] = 1;
+  late_max[250] = 9;
+  EXPECT_EQ(find_threshold_violation(empty, late_max, rng), Pair(250, 1));
+
+  graph::ThresholdVector tied_second(n, 1);
+  tied_second[9] = 5;
+  tied_second[7] = 5;
+  tied_second[30] = 6;
+  EXPECT_EQ(find_threshold_violation(empty, tied_second, rng), Pair(30, 7));
+}
+
+TEST(FindThresholdViolation, ExtremalPairOnZipfThresholds) {
+  // About n/16 vertices tie at the top threshold.
+  const std::size_t n = 4096;
+  Rng rng(7);
+  const auto rho = graph::zipf_thresholds(n, 16, 2.0, rng);
+  std::vector<graph::Vertex> order(n);
+  for (graph::Vertex v = 0; v < n; ++v) order[v] = v;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](graph::Vertex a, graph::Vertex b) {
+                     return rho[a] > rho[b];
+                   });
+  ASSERT_EQ(rho[order[0]], rho[order[1]]);
+  EXPECT_EQ(find_threshold_violation(graph::Graph(n), rho, rng),
+            std::make_pair(order[0], order[1]));
+}
+
 }  // namespace
 }  // namespace dgr::seq
