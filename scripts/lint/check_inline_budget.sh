@@ -10,8 +10,7 @@
 # copy shows up as a DEFINED function symbol in the binary, which is what
 # this script greps for.
 #
-# Unlike the original check_send_inline.sh (now a thin wrapper over this),
-# the hot-op list is not hardcoded: it is derived from the source — every
+# The hot-op list is not hardcoded: it is derived from the source — every
 # function declared under a [[gnu::always_inline]] attribute in src/
 # headers is budget-checked, so a newly annotated hot op joins the gate
 # automatically.

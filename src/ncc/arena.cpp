@@ -49,8 +49,7 @@ void OutArena::grow(std::size_t need) {
 
 std::size_t OutArena::footprint_bytes() const {
   return cap * sizeof(std::uint64_t) + hist.footprint_bytes() +
-         touched.capacity() * sizeof(Slot) + wake.capacity() * sizeof(Slot) +
-         legacy_inbox.capacity() * sizeof(Message);
+         touched.capacity() * sizeof(Slot) + wake.capacity() * sizeof(Slot);
 }
 
 // --------------------------------------------------------- RoundScratch ----
@@ -76,14 +75,7 @@ void RoundScratch::prepare(std::size_t n, unsigned threads) {
   }
   // The lazy tables stay absent until a round actually needs them; if a
   // previous owner materialized them, keep them coherent with the new n.
-  if (!dest_off.empty() && dest_off.size() < n) ensure_trace(n);
   if (!bitmap_off.empty() && bitmap_off.size() < n) ensure_overflow(n);
-}
-
-void RoundScratch::ensure_trace(std::size_t n) {
-  if (dest_off.size() >= n) return;
-  dest_off.resize(n);
-  dest_cursor.resize(n);
 }
 
 void RoundScratch::ensure_overflow(std::size_t n) {
@@ -102,9 +94,6 @@ void RoundScratch::sanitize() {
     out.hist.advance_epoch();
     out.touched.clear();
     out.wake.clear();
-    out.legacy_inbox.clear();
-    out.legacy_slot = kNoSlot;
-    out.legacy_round = ~std::uint64_t{0};
   }
   // touched_dests covers a round aborted mid-delivery (counts and inbox
   // extents written, tail cleanup never ran); inbox_dests covers the last
@@ -120,7 +109,6 @@ void RoundScratch::sanitize() {
   bounce_srcs.clear();
   ovf_dests.clear();
   ovf_bitmap.clear();
-  arena.clear();
 }
 
 std::size_t RoundScratch::footprint_bytes() const {
@@ -131,7 +119,6 @@ std::size_t RoundScratch::footprint_bytes() const {
   b += vec_bytes(touched_dests) + vec_bytes(inbox_dests) +
        vec_bytes(bounce_srcs);
   b += inbox_cap * sizeof(std::uint64_t);
-  b += vec_bytes(dest_off) + vec_bytes(dest_cursor) + vec_bytes(arena);
   b += vec_bytes(ovf_dests) + vec_bytes(ovf_bitmap) + vec_bytes(bitmap_off) +
        vec_bytes(ovf_cursor) + vec_bytes(bounce_base) +
        vec_bytes(bounce_cursor) + vec_bytes(overflow_idx);

@@ -12,9 +12,8 @@
 //     by the destinations a worker actually touches in a round (DestHist),
 //     replacing the dense `hist.assign(n, 0)` that cost O(threads x n)
 //     before a single message moved;
-//   - the trace reference-sort tables and the overflow/bounce cursor
-//     tables are allocated lazily, on the first round that actually
-//     attaches a Trace or overflows a receiver — a clean huge-n
+//   - the overflow/bounce cursor tables are allocated lazily, on the first
+//     round that actually overflows a receiver — a clean huge-n
 //     realization never pays for them.
 //
 // RoundScratch + ArenaPool: all of the above is bundled so a Network can
@@ -133,7 +132,11 @@ class DestHist {
 /// sequentially, so no per-record offsets exist; deliver() walks it with a
 /// cursor and copies accepted records verbatim to their final inbox
 /// position.
-struct OutArena {
+///
+/// Cache-line aligned: each worker writes its own arena's fields (len,
+/// the histogram, touched) on every send, so neighbouring arenas in
+/// RoundScratch::outboxes must not share a line.
+struct alignas(64) OutArena {
   std::unique_ptr<std::uint64_t[]> buf;
   std::size_t len = 0;  // words used
   std::size_t cap = 0;  // words allocated
@@ -156,13 +159,6 @@ struct OutArena {
   // Max per-node sends this worker observed this round (NetStats feed;
   // replaces the old O(n) per-round scan of a sends-per-slot array).
   int max_send = 0;
-  // Legacy Ctx::inbox() scratch: the calling slot's wire records decoded
-  // into Messages, cached per (slot, round). Worker-private, like the rest
-  // of the arena, so the span a body receives stays valid for the whole
-  // body invocation.
-  std::vector<Message> legacy_inbox;
-  Slot legacy_slot = kNoSlot;
-  std::uint64_t legacy_round = ~std::uint64_t{0};
 
   void clear() { len = 0; }
 
@@ -179,8 +175,8 @@ struct OutArena {
   void grow(std::size_t need);  // cold: doubles capacity
 };
 
-/// Reference to a wire record in a worker outbox arena; used by both the
-/// traced-path reference sort and the bounce spill.
+/// Reference to a bounced wire record in a worker outbox arena: the bounce
+/// spill's element type.
 struct EncodedRef {
   const std::uint64_t* enc;
   Slot src;
@@ -230,11 +226,6 @@ struct RoundScratch {
   std::unique_ptr<std::uint64_t[]> inbox_words;
   std::size_t inbox_cap = 0;  // words allocated
 
-  // --- traced-path reference sort (lazy: first deliver() with a Trace) --
-  std::vector<std::size_t> dest_off;     // traced-path offsets, by dest
-  std::vector<std::size_t> dest_cursor;  // scatter cursors
-  std::vector<EncodedRef> arena;         // traced-path reference sort
-
   // --- oversubscription bookkeeping (lazy: first overflowing round) -----
   // Only entries for overflowing destinations are (re)initialized each
   // round; the O(n) cursor tables exist only once a receiver has actually
@@ -250,11 +241,6 @@ struct RoundScratch {
   std::vector<std::uint32_t> overflow_idx;      // Fisher-Yates scratch
   std::vector<std::vector<Bounced>> bounced;    // per source slot (lazy)
 
-  /// Materialize the traced-path reference-sort tables; called by the
-  /// first deliver() that runs with a Trace attached. Grow-only no-op once
-  /// materialized.
-  void ensure_trace(std::size_t n);
-
   /// Materialize the oversubscription cursor tables; called by the first
   /// round that actually overflows a receiver. Grow-only no-op once
   /// materialized.
@@ -263,14 +249,13 @@ struct RoundScratch {
   /// Size the always-touched tables for an n-node, `threads`-worker
   /// Network. Reused scratch keeps every capacity; dense tables resize
   /// (value-initializing any new tail, which the invariants require to be
-  /// zero anyway). The lazy trace/overflow tables are only re-extended if
-  /// a previous owner already materialized them.
+  /// zero anyway). The lazy overflow tables are only re-extended if a
+  /// previous owner already materialized them.
   void prepare(std::size_t n, unsigned threads);
 
   /// Restore every between-round invariant and drop per-Network state
-  /// (legacy-inbox decode caches, wake lists) so the next owner starts
-  /// clean. O(last touched sets); capacities are retained — that is the
-  /// point of pooling.
+  /// (wake lists) so the next owner starts clean. O(last touched sets);
+  /// capacities are retained — that is the point of pooling.
   void sanitize();
 
   /// Approximate retained heap footprint (capacity-based; for pool

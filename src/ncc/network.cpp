@@ -163,7 +163,7 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
   // all its realization algorithms) or freshly default-constructed.
   // prepare() sizes only the slim always-touched per-destination indices
   // (24 B/node, independent of the thread count); the per-worker
-  // histograms are sparse (DestHist) and the trace/overflow tables stay
+  // histograms are sparse (DestHist) and the overflow tables stay
   // absent until a round actually needs them, so constructing a
   // million-node Network costs O(n) for the model state (IDs, knowledge,
   // RNG streams) and O(1) per worker for the datapath.
@@ -254,20 +254,6 @@ void Network::run_slots(std::size_t lo, std::size_t hi, unsigned arena,
     // into the per-arena max for the max_send statistic.
     if (ctx.sends_ > out->max_send) out->max_send = ctx.sends_;
   }
-}
-
-void Network::round(const std::function<void(Ctx&)>& body) {
-  round_raw(const_cast<void*>(static_cast<const void*>(&body)),
-            [](void* b, Ctx& ctx) {
-              (*static_cast<const std::function<void(Ctx&)>*>(b))(ctx);
-            });
-}
-
-void Network::round_active(const std::function<void(Ctx&)>& body) {
-  round_active_raw(const_cast<void*>(static_cast<const void*>(&body)),
-                   [](void* b, Ctx& ctx) {
-                     (*static_cast<const std::function<void(Ctx&)>*>(b))(ctx);
-                   });
 }
 
 void Network::round_raw(void* body, RoundThunk thunk) {
@@ -446,16 +432,16 @@ void Network::deliver() {
   sc.bounce_srcs.clear();
 
   // Pass 1 — drop/crash filtering and the counting-sort histogram. On the
-  // reliable fast path (no loss, no crashes, no trace) nothing can be
-  // dropped: the per-worker histograms Ctx::send maintained already hold the
-  // final counts, and folding their touched lists yields the destination
-  // set — no header re-stream at all. Otherwise the headers are walked in
+  // reliable fast path (no loss, no crashes) nothing can be dropped: the
+  // per-worker histograms Ctx::send maintained already hold the final
+  // counts, and folding their touched lists yields the destination set —
+  // no header re-stream at all. Otherwise the headers are walked in
   // global source-slot order (worker arenas in slice order), consuming the
   // delivery stream exactly as the serial seed engine did.
   std::uint64_t sent = 0;
   std::uint64_t dropped = 0;
   const bool lossy = cfg_.drop_probability > 0.0;
-  const bool fast = !lossy && crashed_n_ == 0 && !trace_;
+  const bool fast = !lossy && crashed_n_ == 0;
   const bool trailered = !is_clique();  // records carry ID-slot trailers
   // Near-dense rounds run the O(n) sequential variants of the passes below
   // (ordered-destination rebuild, zeroing): at that density streaming beats
@@ -560,7 +546,7 @@ void Network::deliver() {
   const auto cap = static_cast<std::size_t>(capacity_);
   sc.ovf_dests.clear();
   sc.ovf_bitmap.clear();
-  std::size_t accept_msgs = 0;    // accepted messages (stats, trace order)
+  std::size_t accept_msgs = 0;    // accepted messages (stats)
   std::size_t layout_words = 0;   // inbox arena extent, incl. overflow slack
   std::size_t bounce_total = 0;
   std::uint64_t round_max_recv = 0;
@@ -689,121 +675,71 @@ void Network::deliver() {
   const bool learning = !is_clique();
   std::uint64_t* const inbox = sc.inbox_words.get();
 
-  // Pass 3 — placement. Without a trace each accepted record is copied
-  // exactly once, verbatim, from its outbox arena straight to its final
-  // dest-major inbox position, streaming sources in slot order — nothing is
-  // decoded; InboxView reads the records in place and the learn pass below
-  // consumes their trailers. Bounces are spilled as references and returned
-  // dest-major below, the order Ctx::bounced() has always exposed. With a
-  // trace attached, messages are reference-sorted per destination first so
-  // trace events keep the seed engine's exact dest-major order.
-  if (!trace_) {
-    // Parallel placement: each task owns a contiguous destination-slot
-    // range, so every destination's cursor and inbox slice has exactly one
-    // writer. Tasks re-stream all outbox headers and place only their own
-    // range, which preserves each destination's arrival order (global
-    // source order) — the transcript is bit-identical to the serial walk.
-    // Ranges are cut at ~equal inbox-word shares from the layout prefix
-    // sums, so the re-stream is the only duplicated work.
-    const bool par_place = threads_ > 1 && sc.touched_dests.size() > 1 &&
-                           layout_words >= kParallelDeliverWords;
-    if (!par_place) {
-      for (const auto& out : sc.outboxes) {
-        const std::uint64_t* p = out.buf.get();
-        const std::uint64_t* const end = p + out.len;
-        while (p < end) {
-          const std::uint64_t* rec = p;
-          const std::size_t rl = wire::record_words(p, trailered);
-          p += rl;
-          const Slot dst = wire::dst(rec);
-          if (dst == kNoSlot) continue;
-          const std::uint32_t cur = sc.inbox_cur[dst];
-          if (cur & kOvfBit) {
-            if (*sc.ovf_cursor[dst]++ == 0) {
-              sc.bounce_refs[sc.bounce_cursor[dst]++] = {rec, wire::src(rec)};
-              continue;
-            }
-          }
-          sc.inbox_cur[dst] = cur + static_cast<std::uint32_t>(rl);
-          std::uint64_t* q = inbox + (cur & ~kOvfBit);
-          for (std::size_t i = 0; i < rl; ++i) q[i] = rec[i];
-        }
-      }
-    } else {
-      const std::size_t tasks = threads_;
-      place_part_.assign(tasks + 1, static_cast<Slot>(n_));
-      place_part_[0] = 0;
-      for (std::size_t t = 1; t < tasks; ++t) {
-        const std::size_t target = layout_words * t / tasks;
-        const auto it = std::lower_bound(
-            sc.touched_dests.begin(), sc.touched_dests.end(), target,
-            [&](Slot d, std::size_t tgt) { return sc.inbox_lo[d] < tgt; });
-        place_part_[t] =
-            it == sc.touched_dests.end() ? static_cast<Slot>(n_) : *it;
-      }
-      Executor::instance().parallel_for(lease_, tasks, [&](std::size_t t) {
-        place_dest_range(place_part_[t], place_part_[t + 1], trailered);
-      });
-    }
-    for (const Slot d : sc.ovf_dests) {
-      const std::size_t lo = sc.bounce_base[d];
-      const std::size_t hi = lo + pk_count(sc.dest_count[d]) - cap;
-      for (std::size_t k = lo; k < hi; ++k) {
-        const auto& r = sc.bounce_refs[k];
-        if (sc.bounced[r.src].empty()) sc.bounce_srcs.push_back(r.src);
-        Bounced& b = sc.bounced[r.src].emplace_back();
-        b.dst = ids_[d];
-        wire::decode(r.enc, ids_[r.src], b.msg);
-      }
-    }
+  // Pass 3 — placement. Each accepted record is copied exactly once,
+  // verbatim, from its outbox arena straight to its final dest-major inbox
+  // position, streaming sources in slot order — nothing is decoded;
+  // InboxView reads the records in place and the learn pass below consumes
+  // their trailers. Bounces are spilled as references and returned
+  // dest-major below, the order Ctx::bounced() has always exposed.
+  //
+  // Small rounds place the whole slot range on the calling thread. Larger
+  // ones split it: each task owns a contiguous destination-slot range, so
+  // every destination's cursor and inbox slice has exactly one writer.
+  // Tasks re-stream all outbox headers and place only their own range,
+  // which preserves each destination's arrival order (global source order)
+  // — the transcript is bit-identical to the one-task walk. Ranges are cut
+  // at ~equal inbox-word shares from the layout prefix sums, so the
+  // re-stream is the only duplicated work.
+  const bool par_place = threads_ > 1 && sc.touched_dests.size() > 1 &&
+                         layout_words >= kParallelDeliverWords;
+  if (!par_place) {
+    place_dest_range(0, static_cast<Slot>(n_), trailered);
   } else {
-    // First trace on this scratch materializes the reference-sort tables.
-    sc.ensure_trace(n_);
-    // Stable counting-sort of references by destination...
-    std::size_t total = 0;
-    for (const Slot d : sc.touched_dests) {
-      sc.dest_off[d] = total;
-      sc.dest_cursor[d] = total;
-      total += pk_count(sc.dest_count[d]);
+    const std::size_t tasks = threads_;
+    place_part_.assign(tasks + 1, static_cast<Slot>(n_));
+    place_part_[0] = 0;
+    for (std::size_t t = 1; t < tasks; ++t) {
+      const std::size_t target = layout_words * t / tasks;
+      const auto it = std::lower_bound(
+          sc.touched_dests.begin(), sc.touched_dests.end(), target,
+          [&](Slot d, std::size_t tgt) { return sc.inbox_lo[d] < tgt; });
+      place_part_[t] =
+          it == sc.touched_dests.end() ? static_cast<Slot>(n_) : *it;
     }
-    sc.arena.resize(total);
-    for (const auto& out : sc.outboxes) {
-      const std::uint64_t* p = out.buf.get();
-      const std::uint64_t* const end = p + out.len;
-      while (p < end) {
-        const std::uint64_t* rec = p;
+    Executor::instance().parallel_for(lease_, tasks, [&](std::size_t t) {
+      place_dest_range(place_part_[t], place_part_[t + 1], trailered);
+    });
+  }
+  for (const Slot d : sc.ovf_dests) {
+    const std::size_t lo = sc.bounce_base[d];
+    const std::size_t hi = lo + pk_count(sc.dest_count[d]) - cap;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const auto& r = sc.bounce_refs[k];
+      if (sc.bounced[r.src].empty()) sc.bounce_srcs.push_back(r.src);
+      Bounced& b = sc.bounced[r.src].emplace_back();
+      b.dst = ids_[d];
+      wire::decode(r.enc, ids_[r.src], b.msg);
+    }
+  }
+  // Trace events read the canonical placement: dest-major, each
+  // destination's delivered records from its inbox slice, then its bounced
+  // references — both lists in arrival order (see trace.h).
+  if (trace_) [[unlikely]] {
+    for (const Slot d : sc.touched_dests) {
+      const std::uint64_t* p = inbox + sc.inbox_lo[d];
+      for (std::uint32_t i = 0; i < sc.inbox_len[d]; ++i) {
+        trace_->record({stats_.rounds, wire::src(p), d, wire::tag(p),
+                        MessageOutcome::kDelivered});
         p += wire::record_words(p, trailered);
-        const Slot dst = wire::dst(rec);
-        if (dst == kNoSlot) continue;
-        sc.arena[sc.dest_cursor[dst]++] = {rec, wire::src(rec)};
       }
-    }
-    // ...then per-destination delivery in arrival order.
-    for (const Slot d : sc.touched_dests) {
-      const std::size_t lo = sc.dest_off[d];
       const std::size_t m = pk_count(sc.dest_count[d]);
-      const bool over = m > cap;
-      std::uint32_t cur = sc.inbox_cur[d] & ~kOvfBit;
-      for (std::size_t i = 0; i < m; ++i) {
-        const auto [enc, src] = sc.arena[lo + i];
-        const bool accept = !over || sc.ovf_bitmap[sc.bitmap_off[d] + i] != 0;
-        if (trace_)
-          trace_->record({stats_.rounds, src, d, wire::tag(enc),
-                          accept ? MessageOutcome::kDelivered
-                                 : MessageOutcome::kBounced});
-        if (accept) {
-          const std::size_t rl = wire::record_words(enc, trailered);
-          std::uint64_t* q = inbox + cur;
-          for (std::size_t w = 0; w < rl; ++w) q[w] = enc[w];
-          cur += static_cast<std::uint32_t>(rl);
-        } else {
-          if (sc.bounced[src].empty()) sc.bounce_srcs.push_back(src);
-          Bounced& b = sc.bounced[src].emplace_back();
-          b.dst = ids_[d];
-          wire::decode(enc, ids_[src], b.msg);
-        }
+      if (m <= cap) continue;
+      const std::size_t lo = sc.bounce_base[d];
+      for (std::size_t k = lo; k < lo + m - cap; ++k) {
+        const auto& r = sc.bounce_refs[k];
+        trace_->record({stats_.rounds, r.src, d, wire::tag(r.enc),
+                        MessageOutcome::kBounced});
       }
-      sc.inbox_cur[d] = cur;
     }
   }
   stats_.messages_delivered += accept_msgs;
@@ -869,7 +805,7 @@ void Network::deliver() {
     }
     // The fold above consumed every live histogram entry: between rounds
     // no destination may carry a nonzero count. (Paths that never read the
-    // histograms — lossy/traced re-streams, dense-round re-streams — leave
+    // histograms — lossy/crash re-streams, dense-round re-streams — leave
     // their entries live; advance_epoch retires those wholesale.)
     NCC_INVARIANT(!hist_consumed || out.hist.all_zero(),
                   "per-worker histogram not all-zero after the delivery "
@@ -933,13 +869,14 @@ void Network::deliver() {
   }
 }
 
-// One parallel-placement task: re-stream every outbox arena in global
-// source order, placing only the records whose destination falls in
-// [dst_lo, dst_hi). Tombstoned records (dst == kNoSlot) fail the range
-// check for every task, since ranges never extend past n_. Each
+// The one placement loop: re-stream every outbox arena in global source
+// order, placing only the records whose destination falls in
+// [dst_lo, dst_hi) — [0, n) for the whole round on one thread, or one
+// parallel task's range. Tombstoned records (dst == kNoSlot) fail the
+// range check for every range, since ranges never extend past n_. Each
 // destination's inbox_cur / ovf_cursor / bounce_cursor has exactly one
 // writing task, so no synchronization is needed and per-destination
-// arrival order matches the serial walk exactly.
+// arrival order is global source order for any split.
 void Network::place_dest_range(Slot dst_lo, Slot dst_hi, bool trailered) {
   RoundScratch& sc = *scr_;
   std::uint64_t* const inbox = sc.inbox_words.get();
@@ -1013,39 +950,6 @@ void Network::learn_dest(Slot d, const std::uint64_t* inbox) {
     }
     p += wire::kHeaderWords + nw + tw;
   }
-}
-
-std::span<const Message> Network::legacy_inbox(Slot s, OutArena& out) {
-  // Cache key: (slot, round). A slot's body runs exactly once per round on
-  // one worker, so the worker-private scratch only ever serves one slot at
-  // a time and repeated inbox() calls within a body reuse the decode.
-  if (out.legacy_slot != s || out.legacy_round != stats_.rounds) {
-    out.legacy_slot = s;
-    out.legacy_round = stats_.rounds;
-    const std::uint32_t len = scr_->inbox_len[s];
-    out.legacy_inbox.clear();
-    out.legacy_inbox.resize(len);
-    if (len != 0) {
-      const bool trailered = !is_clique();
-      const std::uint64_t* p = scr_->inbox_words.get() + scr_->inbox_lo[s];
-      for (std::uint32_t i = 0; i < len; ++i) {
-        wire::decode(p, ids_[wire::src(p)], out.legacy_inbox[i]);
-        p += wire::record_words(p, trailered);
-      }
-    }
-  }
-
-  return {out.legacy_inbox.data(), out.legacy_inbox.size()};
-}
-
-std::uint64_t Network::run_until(const std::function<bool()>& done,
-                                 const std::function<void(Ctx&)>& body) {
-  std::uint64_t executed = 0;
-  while (!done()) {
-    round(body);
-    ++executed;
-  }
-  return executed;
 }
 
 }  // namespace dgr::ncc

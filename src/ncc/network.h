@@ -9,7 +9,7 @@
 //
 // Protocol style: orchestration code calls net.round(body) once per
 // synchronous round; `body` runs once per node and must use only that node's
-// local state plus ctx.inbox(). Messages sent in round t are visible in
+// local state plus ctx.inbox_view(). Messages sent in round t are visible in
 // inboxes during round t+1. Referee-side accessors (slot_of, path_order, ...)
 // exist for verification and test assertions only.
 //
@@ -43,28 +43,26 @@
 //     receive side is zero-copy end to end: no 48B Message materialization,
 //     no per-message metadata sidecar. Ctx::inbox_view() hands bodies an
 //     InboxView whose MessageRef elements decode fields lazily from the
-//     records in place; Ctx::inbox() remains as a compat shim that decodes
-//     the slot's records into a per-worker Message scratch on first use
-//     (with a Trace attached, a reference-sorting path reproduces the seed
-//     engine's exact event order for completed rounds; a strict-mode
-//     overflow throws before any delivery events). The delivery-time learn
-//     pass runs dest-major over the records' contiguous ID-slot trailers
-//     (Knowledge::learn_trailer), never touching the IdMap;
-//   - the delivery tail itself parallelizes across the executor once a
-//     round carries enough traffic (threads > 1): the placement pass runs
-//     as per-worker jobs over contiguous destination ranges cut from the
-//     counting-sort prefix sums (each worker re-streams the outbox headers
-//     but copies only its range's records, so every per-destination cursor
-//     and inbox slice has exactly one writer and per-destination arrival
-//     order — global source-slot order — is preserved verbatim); the learn
-//     pass fans out one task per touched destination, claimed in chunks
-//     (knowledge tables are per-destination, so tasks never share state);
-//     and the overflow-acceptance bitmap pre-draw snapshots the delivery
-//     RNG at each overflowing destination's draw block in a cheap serial
-//     prefix scan, then per-worker jobs replay their destinations' draws
-//     from the snapshots — bit-identical to the serial stream. Traced runs
-//     keep the serial reference-sort compat path for placement. All three
-//     are scheduling choices only: transcripts stay bit-identical at any
+//     records in place. An attached Trace reads its events off the same
+//     placement after the fact (a strict-mode overflow throws before any
+//     delivery events). The delivery-time learn pass runs dest-major over
+//     the records' contiguous ID-slot trailers (Knowledge::learn_trailer),
+//     never touching the IdMap;
+//   - placement is one loop over a destination-slot range; the delivery
+//     tail parallelizes across the executor once a round carries enough
+//     traffic (threads > 1): the placement loop runs as per-worker jobs
+//     over contiguous destination ranges cut from the counting-sort prefix
+//     sums (each worker re-streams the outbox headers but copies only its
+//     range's records, so every per-destination cursor and inbox slice has
+//     exactly one writer and per-destination arrival order — global
+//     source-slot order — is preserved verbatim); the learn pass fans out
+//     one task per touched destination, claimed in chunks (knowledge
+//     tables are per-destination, so tasks never share state); and the
+//     overflow-acceptance bitmap pre-draw snapshots the delivery RNG at
+//     each overflowing destination's draw block in a cheap serial prefix
+//     scan, then per-worker jobs replay their destinations' draws from the
+//     snapshots — bit-identical to the serial stream. All three are
+//     scheduling choices only: transcripts stay bit-identical at any
 //     thread count (tests/test_parallel_deliver.cpp pins this);
 //   - every per-round sweep is list-driven: touched destinations, bounce
 //     sources, and the active frontier name exactly the entries to visit
@@ -81,9 +79,9 @@
 //     bookkeeping;
 //   - datapath memory is O(traffic), not O(threads·n): the per-worker send
 //     histograms are epoch-stamped sparse tables (DestHist, ncc/arena.h)
-//     sized by the destinations a worker actually touches, and the trace
-//     reference-sort and overflow/bounce cursor tables materialize lazily
-//     on first use. The whole round-transient bundle (RoundScratch) can be
+//     sized by the destinations a worker actually touches, and the
+//     overflow/bounce cursor tables materialize lazily on first use. The
+//     whole round-transient bundle (RoundScratch) can be
 //     borrowed from a cross-Network ArenaPool (Config::arena_pool) so
 //     consecutive simulations reuse warm arenas — an allocation strategy
 //     only; transcripts are bit-identical with reuse on or off;
@@ -96,7 +94,6 @@
 #pragma once
 
 #include <bit>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -126,10 +123,9 @@ class Network;
 /// for the layout). Field accessors read straight from the record — nothing
 /// is materialized until materialize() is called — so iterating an inbox
 /// and switching on tag() costs two loads per message, not a 48B copy.
-/// Validity: like the spans Ctx::inbox() returns, a MessageRef aliases
-/// engine-owned memory that the next round's delivery repacks; do not hold
-/// one across the end of the round body (debug builds diagnose stale
-/// dereferences, see InboxView).
+/// Validity: a MessageRef aliases engine-owned memory that the next round's
+/// delivery repacks; do not hold one across the end of the round body
+/// (debug builds diagnose stale dereferences, see InboxView).
 class MessageRef {
  public:
   std::uint32_t tag() const { return wire::tag(rec_); }
@@ -170,8 +166,7 @@ class MessageRef {
 
 /// Zero-copy view of one node's inbox for the current round: an input range
 /// of MessageRef over the node's contiguous slice of the wire-record inbox
-/// arena. Obtained from Ctx::inbox_view(); prefer it over the legacy
-/// Ctx::inbox() span, which decodes every record into a Message scratch.
+/// arena. Obtained from Ctx::inbox_view().
 ///
 /// Lifetime: the view aliases engine-owned arenas that the next round's
 /// delivery repacks, so it is only valid inside the round body that created
@@ -312,15 +307,6 @@ class Ctx {
   /// the current round: MessageRefs decode fields lazily from the wire
   /// records in place. Valid only inside this round body (see InboxView).
   InboxView inbox_view() const;
-  /// Legacy accessor: the same messages, decoded into a per-worker Message
-  /// scratch on first call (compat shim; costs a full decode of the inbox).
-  /// Lifetime: the span is valid only within this slot's body invocation —
-  /// the scratch is reused as soon as another slot on the same worker calls
-  /// inbox() (single-threaded runs put every slot on one worker). That is
-  /// the same "do not hold across bodies" rule InboxView documents, only
-  /// without the debug diagnostic; code that needs messages later must copy
-  /// them. Prefer inbox_view() in new and hot code.
-  std::span<const Message> inbox() const;
   /// This node's sends from the previous round that were bounced.
   std::span<const Bounced> bounced() const;
 
@@ -355,9 +341,8 @@ class Network {
   bool is_clique() const { return cfg_.initial == InitialKnowledge::kClique; }
 
   /// Execute one synchronous round: run `body` once per node, then deliver.
-  /// The templated overload dispatches the body through a direct call (no
-  /// std::function type erasure) — use it in tight loops; the std::function
-  /// overload remains for stored/polymorphic bodies.
+  /// Any callable works (a std::function included); the body is dispatched
+  /// through a direct call, with no type erasure of its own.
   template <typename Body,
             typename = std::enable_if_t<std::is_invocable_v<Body&, Ctx&>>>
   void round(Body&& body) {
@@ -365,7 +350,6 @@ class Network {
     round_raw(const_cast<void*>(static_cast<const void*>(std::addressof(body))),
               [](void* b, Ctx& ctx) { (*static_cast<B*>(b))(ctx); });
   }
-  void round(const std::function<void(Ctx&)>& body);
 
   /// Active-set round: run `body` only for this round's active slots (see
   /// the file comment), then deliver. The active set is the sorted union of
@@ -381,7 +365,6 @@ class Network {
         const_cast<void*>(static_cast<const void*>(std::addressof(body))),
         [](void* b, Ctx& ctx) { (*static_cast<B*>(b))(ctx); });
   }
-  void round_active(const std::function<void(Ctx&)>& body);
 
   /// Drive active-set rounds until the frontier drains. Returns rounds
   /// executed. Seed the frontier first (wake / a preceding round's traffic).
@@ -426,11 +409,6 @@ class Network {
     return active_.size();
   }
   bool has_active() { return active_count() != 0; }
-
-  /// Run `body` every round until `done()` (referee-side predicate) returns
-  /// true, checking before each round. Returns rounds executed.
-  std::uint64_t run_until(const std::function<bool()>& done,
-                          const std::function<void(Ctx&)>& body);
 
   const NetStats& stats() const { return stats_; }
   void add_scope_rounds(const std::string& name, std::uint64_t r) {
@@ -552,10 +530,11 @@ class Network {
   void run_slots(std::size_t lo, std::size_t hi, unsigned arena, void* body,
                  RoundThunk thunk);
   void deliver();
-  /// Parallel-placement worker: walk every outbox arena in global source
-  /// order and place only the records whose destination slot falls in
-  /// [dst_lo, dst_hi) — each destination's cursors and inbox slice have
-  /// exactly one writer, and per-destination arrival order is preserved.
+  /// The placement loop: walk every outbox arena in global source order and
+  /// place only the records whose destination slot falls in [dst_lo,
+  /// dst_hi) — [0, n) serially, or one parallel task's range. Each
+  /// destination's cursors and inbox slice have exactly one writer, and
+  /// per-destination arrival order is preserved.
   void place_dest_range(Slot dst_lo, Slot dst_hi, bool trailered);
   /// Overflow bitmap fill for one destination: the partial Fisher-Yates
   /// subset draw from `rng` (caller positions it — the shared delivery
@@ -564,9 +543,6 @@ class Network {
                             std::vector<std::uint32_t>& idx_scratch);
   /// Learn pass for one destination's contiguous inbox slice.
   void learn_dest(Slot d, const std::uint64_t* inbox);
-  /// Compat path behind Ctx::inbox(): decode slot `s`'s wire records into
-  /// the worker arena's Message scratch (cached per slot and round).
-  std::span<const Message> legacy_inbox(Slot s, OutArena& out);
   InboxView make_inbox_view(Slot s) const {
     const std::uint32_t len = scr_->inbox_len[s];
     const std::uint64_t* base =
@@ -841,10 +817,6 @@ inline void Ctx::send1_id(NodeId to, std::uint32_t tag, NodeId id) {
 
 inline InboxView Ctx::inbox_view() const {
   return net_.make_inbox_view(slot_);
-}
-
-inline std::span<const Message> Ctx::inbox() const {
-  return net_.legacy_inbox(slot_, *out_);
 }
 
 inline std::span<const Bounced> Ctx::bounced() const {

@@ -3,7 +3,21 @@
 // Attach a Trace to a Network to record every message outcome (delivered /
 // bounced / dropped) with its round, endpoints and tag. Designed for
 // debugging protocols and for message-complexity accounting in experiments;
-// tracing is off by default and costs nothing when detached.
+// tracing is off by default and costs nothing when detached. Attaching one
+// never changes the transcript: events are read off the engine's ordinary
+// delivery, after the fact.
+//
+// Event order within a round:
+//   1. kDropped events, in global source-slot order (the order the link-loss
+//      draws consume the delivery stream);
+//   2. then, destination by destination in ascending slot order, that
+//      destination's kDelivered events in arrival order (exactly the order
+//      its inbox_view() shows next round), followed by its kBounced events
+//      in arrival order. Inside an oversubscribed destination the delivered
+//      events therefore all precede the bounced ones; they do not
+//      interleave by arrival.
+// A strict-mode overflow throws before any kDelivered/kBounced event of its
+// round is recorded.
 #pragma once
 
 #include <cstdint>

@@ -65,22 +65,6 @@ std::vector<std::uint64_t> broadcast_from_root(ncc::Network& net,
   return out;
 }
 
-std::uint64_t aggregate_to_root(ncc::Network& net, const TreeOverlay& tree,
-                                const std::vector<std::uint64_t>& value,
-                                const Combiner& f) {
-  // Forward the type-erased combiner through the templated wave.
-  return aggregate_to_root<const Combiner&>(net, tree, value, f);
-}
-
-std::uint64_t aggregate_and_broadcast(ncc::Network& net,
-                                      const TreeOverlay& tree,
-                                      const std::vector<std::uint64_t>& value,
-                                      const Combiner& f, bool value_is_id) {
-  const std::uint64_t agg = aggregate_to_root(net, tree, value, f);
-  broadcast_from_root(net, tree, agg, value_is_id);
-  return agg;
-}
-
 std::vector<std::uint64_t> broadcast_from_leader(ncc::Network& net,
                                                  const TreeOverlay& tree,
                                                  Slot leader,

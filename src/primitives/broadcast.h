@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -22,16 +21,11 @@
 
 namespace dgr::prim {
 
-/// Type-erased distributive aggregate combiner (the model allows unbounded
-/// local computation). Kept for stored/polymorphic combiners and ABI
-/// compatibility; internal callers use the templated overloads below, which
-/// inline the combine instead of paying an indirect call per message.
-using Combiner = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
-
-/// Ready-made combiners. Each is a distinct empty function-object type so
-/// the templated aggregation paths devirtualize and inline the combine;
-/// call sites (`prim::comb_sum(a, b)`, `Combiner f = prim::comb_sum`) read
-/// exactly as the old free functions did.
+/// Ready-made distributive aggregate combiners (the model allows unbounded
+/// local computation). Each is a distinct empty function-object type so the
+/// templated aggregation paths inline the combine instead of paying an
+/// indirect call per message; `prim::comb_sum(a, b)` reads like a free
+/// function call.
 struct CombSum {
   std::uint64_t operator()(std::uint64_t a, std::uint64_t b) const noexcept {
     return a + b;
@@ -65,15 +59,12 @@ std::vector<std::uint64_t> broadcast_from_root(ncc::Network& net,
                                                bool value_is_id = false);
 
 /// Convergecast of f over per-slot values; the root ends up with
-/// f(all member values), which is returned. The templated form inlines the
-/// combiner; the Combiner overload is the stored/polymorphic API.
+/// f(all member values), which is returned. `f` is any callable
+/// (uint64, uint64) -> uint64; the combine is inlined.
 template <typename F>
 std::uint64_t aggregate_to_root(ncc::Network& net, const TreeOverlay& tree,
                                 const std::vector<std::uint64_t>& value,
                                 F&& f);
-std::uint64_t aggregate_to_root(ncc::Network& net, const TreeOverlay& tree,
-                                const std::vector<std::uint64_t>& value,
-                                const Combiner& f);
 
 /// Aggregation followed by a root broadcast: every member learns f(all).
 /// Returns the aggregate. O(log n) rounds total.
@@ -82,11 +73,6 @@ std::uint64_t aggregate_and_broadcast(ncc::Network& net,
                                       const TreeOverlay& tree,
                                       const std::vector<std::uint64_t>& value,
                                       F&& f, bool value_is_id = false);
-std::uint64_t aggregate_and_broadcast(ncc::Network& net,
-                                      const TreeOverlay& tree,
-                                      const std::vector<std::uint64_t>& value,
-                                      const Combiner& f,
-                                      bool value_is_id = false);
 
 /// Theorem 4's designated-leader broadcast: the leader's token climbs to the
 /// root along parent pointers, then floods down. 2·height rounds.

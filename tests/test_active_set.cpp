@@ -259,7 +259,7 @@ TEST(ActiveSetWake, WokenSlotRunsWithEmptyInbox) {
   std::size_t inbox_seen = 99;
   net.round_active([&](Ctx& ctx) {
     ran.push_back(ctx.slot());
-    inbox_seen = ctx.inbox().size();
+    inbox_seen = ctx.inbox_view().size();
   });
   EXPECT_EQ(ran, std::vector<Slot>{3});
   EXPECT_EQ(inbox_seen, 0u);
@@ -281,7 +281,7 @@ TEST(ActiveSetWake, MessagedSlotAlreadyWokenRunsOnce) {
   net.round_active([&](Ctx& ctx) {
     ASSERT_EQ(ctx.slot(), 4u);
     ++runs;
-    got = ctx.inbox().size();
+    got = ctx.inbox_view().size();
   });
   EXPECT_EQ(runs, 1);
   EXPECT_EQ(got, 1u);

@@ -2,11 +2,12 @@
 // memory.
 //
 // Config::arena_pool recycles the whole per-Network round scratch bundle
-// (wire arenas, sparse histograms, inbox tables, overflow/bounce/trace
-// tables) across Networks. The contract under test:
+// (wire arenas, sparse histograms, inbox tables, overflow/bounce tables)
+// across Networks. The contract under test:
 //   (i)   a pooled run's transcript is bit-for-bit identical to a fresh
 //         Network's, for any thread count, either scheduler, and across
-//         the overflow/bounce, lossy, crash and traced delivery paths;
+//         the overflow/bounce, lossy and crash delivery paths, traced or
+//         not;
 //   (ii)  reuse really happens (pool stats), including across Networks of
 //         DIFFERENT sizes — the bundle regrows or partially re-primes;
 //   (iii) pool memory is bounded (max_free) and reclaimable (trim()).
@@ -115,8 +116,8 @@ TEST(ArenaPool, TracedPooledTranscriptIdenticalToFresh) {
   const RunFingerprint fresh =
       run_workload(kN, 1, true, nullptr, /*traced=*/true);
   ncc::ArenaPool pool;
-  // First run materializes the lazy trace tables in the bundle; the second
-  // reuses them after a sanitize.
+  // First run dirties the bundle under a trace; the second reuses it after
+  // a sanitize.
   EXPECT_TRUE(fresh == run_workload(kN, 1, true, &pool, true));
   EXPECT_TRUE(fresh == run_workload(kN, 4, true, &pool, true));
   EXPECT_EQ(pool.stats().reuses, 1u);
@@ -149,8 +150,8 @@ TEST(ArenaPool, FreeListIsBoundedByMaxFree) {
 
 TEST(ArenaPool, ShrinkAfterHugeRunReclaimsEverything) {
   ncc::ArenaPool pool;
-  // A big traced run materializes every lazy table in the bundle, so the
-  // retained footprint is the full worst case for this n.
+  // A big overflowing run materializes every lazy table in the bundle, so
+  // the retained footprint is the full worst case for this n.
   run_workload(1 << 12, 1, true, &pool, /*traced=*/true);
   const std::size_t retained = pool.retained_bytes();
   EXPECT_GT(retained, 0u);

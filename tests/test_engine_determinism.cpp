@@ -45,8 +45,7 @@ struct RunFingerprint {
 // random half of its budget (some destinations oversubscribe, so the bounce
 // path runs), links drop 20% of traffic, and the referee crashes a few nodes
 // mid-run. Exercises every branch of deliver(). With `traced` set a Trace is
-// attached, which routes delivery through the reference-sorting compat path —
-// its outcomes must be identical to the direct placement path.
+// attached; recording events must not change any outcome.
 RunFingerprint run_lossy_crashy(unsigned threads, bool traced = false) {
   constexpr std::size_t kN = 160;
   ncc::Config cfg;
@@ -69,8 +68,8 @@ RunFingerprint run_lossy_crashy(unsigned threads, bool traced = false) {
     if (r == 12) net.crash(141);
     net.round([&](Ctx& ctx) {
       auto& in = fp.inbox_digest[ctx.slot()];
-      for (const auto& m : ctx.inbox())
-        in = hash_mix(in, m.src, m.word(0));
+      for (const auto m : ctx.inbox_view())
+        in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[ctx.slot()];
       for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
 
@@ -96,8 +95,7 @@ TEST(EngineDeterminism, LossyCrashyTranscriptInvariantAcrossThreadCounts) {
   EXPECT_TRUE(serial == run_lossy_crashy(2));
   EXPECT_TRUE(serial == run_lossy_crashy(8));
 
-  // Attaching a trace switches deliver() onto its event-ordered compat path;
-  // the observable transcript must not change.
+  // Attaching a trace must not change the observable transcript.
   EXPECT_TRUE(serial == run_lossy_crashy(1, /*traced=*/true));
   EXPECT_TRUE(serial == run_lossy_crashy(8, /*traced=*/true));
 
@@ -177,7 +175,7 @@ TEST(EngineDeterminism, StrictModeBoundaryExactCapacity) {
     });
     std::size_t seen = 0;
     net.round([&](Ctx& ctx) {
-      if (ctx.slot() == 0) seen = ctx.inbox().size();
+      if (ctx.slot() == 0) seen = ctx.inbox_view().size();
     });
     EXPECT_EQ(seen, cap);
   }
@@ -219,12 +217,13 @@ TEST(EngineDeterminism, CaughtFailedSendLeavesNoTrace) {
   std::size_t hot_seen = 0;
   net.round([&](Ctx& ctx) {
     if (ctx.slot() == 2) {
-      quiet_seen = ctx.inbox().size();
+      quiet_seen = ctx.inbox_view().size();
       ASSERT_EQ(quiet_seen, 1u);
-      EXPECT_EQ(ctx.inbox()[0].tag, 7u);
-      EXPECT_EQ(ctx.inbox()[0].src, net.id_of(0));
+      const auto m = *ctx.inbox_view().begin();
+      EXPECT_EQ(m.tag(), 7u);
+      EXPECT_EQ(m.src(), net.id_of(0));
     }
-    if (ctx.slot() == 1) hot_seen = ctx.inbox().size();
+    if (ctx.slot() == 1) hot_seen = ctx.inbox_view().size();
   });
   EXPECT_EQ(quiet_seen, 1u);
   EXPECT_EQ(hot_seen, static_cast<std::size_t>(cap));
@@ -248,9 +247,9 @@ TEST(EngineDeterminism, CaughtUnknownForwardLeavesNoTrace) {
   std::size_t seen = 0;
   net.round([&](Ctx& ctx) {
     if (ctx.slot() != order[1]) return;
-    seen = ctx.inbox().size();
+    seen = ctx.inbox_view().size();
     ASSERT_EQ(seen, 1u);
-    EXPECT_EQ(ctx.inbox()[0].tag, 2u);
+    EXPECT_EQ((*ctx.inbox_view().begin()).tag(), 2u);
   });
   EXPECT_EQ(seen, 1u);
   EXPECT_EQ(net.stats().messages_sent, 1u);
@@ -270,8 +269,8 @@ TEST(EngineDeterminism, CliqueForwardsUnresolvedIdWords) {
   });
   std::uint64_t seen = 0;
   net.round([&](Ctx& ctx) {
-    if (ctx.slot() == 1 && !ctx.inbox().empty())
-      seen = ctx.inbox()[0].id_word(0);
+    if (ctx.slot() == 1 && !ctx.inbox_view().empty())
+      seen = (*ctx.inbox_view().begin()).id_word(0);
   });
   EXPECT_EQ(seen, handle);
 }
@@ -349,11 +348,12 @@ RunFingerprint run_active_wave(unsigned threads, bool sparse,
     net.round_active([&](Ctx& ctx) {
       const Slot s = ctx.slot();
       auto& in = fp.inbox_digest[s];
-      for (const auto& m : ctx.inbox()) in = hash_mix(in, m.src, m.word(0));
+      for (const auto m : ctx.inbox_view())
+        in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[s];
       for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
       const bool started = r == 0 && s == 7;
-      if (!started && ctx.inbox().empty() && ctx.bounced().empty() &&
+      if (!started && ctx.inbox_view().empty() && ctx.bounced().empty() &&
           !woke[s]) {
         return;  // inactive-silent: no sends, no RNG, no state change
       }
@@ -387,7 +387,7 @@ TEST(EngineDeterminism, ActiveWaveTranscriptInvariantAcrossSchedulers) {
   // Dense-dispatch fallback, any thread count.
   EXPECT_TRUE(ref == run_active_wave(1, false));
   EXPECT_TRUE(ref == run_active_wave(8, false));
-  // Traced compat path on top of sparse scheduling.
+  // A trace attached on top of sparse scheduling.
   EXPECT_TRUE(ref == run_active_wave(1, true, /*traced=*/true));
   EXPECT_TRUE(ref == run_active_wave(8, true, /*traced=*/true));
 
@@ -403,7 +403,7 @@ TEST(EngineDeterminism, ActiveWaveTranscriptInvariantAcrossSchedulers) {
 // that oscillates between all-dense floods and single-sender trickles
 // crosses the mode boundary in both directions — including rounds where the
 // prediction is wrong. The mode is bookkeeping strategy only: transcripts
-// must stay bit-identical across thread counts, the traced compat path, and
+// must stay bit-identical across thread counts, a trace attachment, and
 // a lossy variant (which exercises the non-fast streaming pass under a
 // dense prediction).
 RunFingerprint run_density_oscillation(unsigned threads, bool traced,
@@ -454,8 +454,7 @@ TEST(EngineDeterminism, DenseFastPathTranscriptInvariant) {
   const RunFingerprint ref = run_density_oscillation(1, false, 0.0);
   EXPECT_TRUE(ref == run_density_oscillation(4, false, 0.0));
   EXPECT_TRUE(ref == run_density_oscillation(8, false, 0.0));
-  // Traced compat path: delivery switches to the reference sort while the
-  // dense prediction keeps flipping.
+  // A trace attached while the dense prediction keeps flipping.
   EXPECT_TRUE(ref == run_density_oscillation(1, true, 0.0));
   // The flood rounds genuinely oversubscribed the hot set.
   EXPECT_GT(ref.stats().messages_bounced, 0u);

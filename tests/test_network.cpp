@@ -86,10 +86,10 @@ TEST(Network, MessageDeliveryNextRound) {
   });
   net.round([&](Ctx& ctx) {
     if (ctx.slot() != second) return;
-    for (const auto& m : ctx.inbox()) {
-      if (m.tag == 99) {
+    for (const auto m : ctx.inbox_view()) {
+      if (m.tag() == 99) {
         EXPECT_EQ(m.word(0), 1234u);
-        EXPECT_EQ(m.src, net.id_of(head));
+        EXPECT_EQ(m.src(), net.id_of(head));
         ++seen;
       }
     }
@@ -154,7 +154,8 @@ TEST(Network, BounceModeReturnsExcessToSenders) {
     if (ctx.slot() != 0) ctx.send(target, make_msg(1));
   });
   net.round([&](Ctx& ctx) {
-    if (ctx.slot() == 0) delivered += static_cast<int>(ctx.inbox().size());
+    if (ctx.slot() == 0)
+      delivered += static_cast<int>(ctx.inbox_view().size());
     bounced += static_cast<int>(ctx.bounced().size());
   });
   EXPECT_EQ(delivered.load(), net.capacity());
@@ -172,7 +173,7 @@ TEST(Network, DeterministicTranscriptAcrossThreadCounts) {
     std::vector<std::uint64_t> acc(net.n(), 0);
     for (int r = 0; r < 20; ++r) {
       net.round([&](Ctx& ctx) {
-        for (const auto& m : ctx.inbox()) acc[ctx.slot()] += m.word(0);
+        for (const auto m : ctx.inbox_view()) acc[ctx.slot()] += m.word(0);
         const NodeId s = ctx.initial_successor();
         if (s != ncc::kNoNode && ctx.rng().chance(0.5))
           ctx.send(s, make_msg(1).push(ctx.rng().below(1000)));

@@ -207,7 +207,7 @@ TEST(ParallelDeliver, FloodOverflowTranscriptInvariant) {
     EXPECT_TRUE(ref == run_flood_overflow(threads, false))
         << "threads=" << threads;
   }
-  // Traced runs take the serial reference-sorted compat path; same story.
+  // Traced runs place through the same path; same story.
   for (const unsigned threads : {1u, 4u}) {
     EXPECT_TRUE(ref == run_flood_overflow(threads, true))
         << "traced threads=" << threads;

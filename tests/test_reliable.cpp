@@ -118,7 +118,7 @@ TEST(Reliable, UnreliableExchangeWouldLose) {
   });
   for (int r = 0; r < 8; ++r) {
     net.round([&](ncc::Ctx& ctx) {
-      if (ctx.slot() == 0) got.fetch_add(ctx.inbox().size());
+      if (ctx.slot() == 0) got.fetch_add(ctx.inbox_view().size());
     });
   }
   EXPECT_LT(got.load(), 63u);  // w.h.p. several of 63 sends were dropped

@@ -27,12 +27,12 @@ TEST(SendQueue, PacesWithinCapacity) {
   std::atomic<int> received{0};
   while (!q.idle()) {
     net.round([&](Ctx& ctx) {
-      received += static_cast<int>(ctx.inbox().size());
+      received += static_cast<int>(ctx.inbox_view().size());
       if (ctx.slot() == head) q.pump(ctx);
     });
   }
   net.round([&](Ctx& ctx) {
-    received += static_cast<int>(ctx.inbox().size());
+    received += static_cast<int>(ctx.inbox_view().size());
   });
   EXPECT_EQ(received.load(), 100);
   // 100 messages at `capacity` per round.
@@ -60,8 +60,8 @@ TEST(SendQueue, DrainsUnderHeavyContention) {
     busy.store(0);
     net.round([&](Ctx& ctx) {
       if (ctx.slot() == 0) {
-        for (const auto& m : ctx.inbox())
-          if (m.tag == 9) ++received;
+        for (const auto m : ctx.inbox_view())
+          if (m.tag() == 9) ++received;
       }
       queues[ctx.slot()].pump(ctx);
       if (!queues[ctx.slot()].idle()) ++busy;
@@ -69,8 +69,8 @@ TEST(SendQueue, DrainsUnderHeavyContention) {
   }
   net.round([&](Ctx& ctx) {
     if (ctx.slot() == 0)
-      for (const auto& m : ctx.inbox())
-        if (m.tag == 9) ++received;
+      for (const auto m : ctx.inbox_view())
+        if (m.tag() == 9) ++received;
   });
   EXPECT_EQ(received.load(), 127 * per_node);
   EXPECT_GT(net.stats().messages_bounced, 0u);  // contention actually hit
@@ -97,8 +97,8 @@ TEST(SendQueue, TagFilterIgnoresForeignBounces) {
     --rounds_left;
     net.round([&](Ctx& ctx) {
       if (ctx.slot() == 0) {
-        for (const auto& m : ctx.inbox())
-          if (m.tag == 0xAA) ++got_a;
+        for (const auto m : ctx.inbox_view())
+          if (m.tag() == 0xAA) ++got_a;
       }
       if (ctx.slot() == 1) {
         qa.pump(ctx);
@@ -113,8 +113,8 @@ TEST(SendQueue, TagFilterIgnoresForeignBounces) {
   }
   net.round([&](Ctx& ctx) {
     if (ctx.slot() == 0)
-      for (const auto& m : ctx.inbox())
-        if (m.tag == 0xAA) ++got_a;
+      for (const auto m : ctx.inbox_view())
+        if (m.tag() == 0xAA) ++got_a;
   });
   EXPECT_EQ(got_a.load(), 40);
 }
