@@ -19,10 +19,10 @@
 //               almost everything bounces. Stresses the oversubscription
 //               (random-subset selection) path and bounced() bookkeeping.
 //
-// The all-dense workloads also exercise the engine's dense-round fast path
-// (send-side histogram upkeep bypassed, sequential header re-stream in
-// deliver) from round 2 on — the density prediction needs one round of
-// history.
+// Every workload builds its delivery counts with deliver()'s one header
+// re-stream (Ctx::send keeps no per-send bookkeeping). Flood, FloodScan and
+// Sparse touch nearly every destination, so they run the O(n) dense sweeps;
+// Overflow's 8 hot destinations keep it on the sorted touched list.
 //
 // Counters: "messages/s" (engine-accepted sends per wall second, the headline
 // number), "rounds/s", and "msgs/round". Sweeps n in {256..16384} and

@@ -6,10 +6,13 @@
 //
 // Prints the realized overlay (per-node neighbour lists), verification
 // results and simulator statistics.
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "graph/degree_sequence.h"
@@ -26,12 +29,26 @@
 
 namespace {
 
+/// The whole token as a base-10 unsigned integer, or exit 2 naming it: a
+/// sign, trailing characters or an out-of-range value is rejected, never
+/// read as a prefix or wrapped.
+std::uint64_t parse_u64(std::string_view token, const char* what) {
+  std::uint64_t v = 0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (token.empty() || ec != std::errc{} || ptr != end) {
+    std::cerr << "invalid " << what << " '" << token << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
 std::vector<std::uint64_t> parse_sequence(const std::string& csv) {
   std::vector<std::uint64_t> out;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::strtoull(item.c_str(), nullptr, 10));
+    if (!item.empty()) out.push_back(parse_u64(item, "sequence entry"));
   }
   return out;
 }
@@ -52,7 +69,7 @@ Options parse_options(int argc, char** argv, int first) {
     else if (a == "--envelope") opt.envelope = true;
     else if (a == "--max-diameter") opt.max_diameter = true;
     else if (a.rfind("--seed=", 0) == 0)
-      opt.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
+      opt.seed = parse_u64(std::string_view(a).substr(7), "seed");
     else {
       std::cerr << "unknown option: " << a << "\n";
       std::exit(2);

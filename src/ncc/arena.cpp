@@ -5,36 +5,11 @@
 #include "obs/metrics.h"
 #include "util/check.h"
 
-// Cold paths of the arena subsystem: table growth, pool bookkeeping, and
-// the sanitize/footprint sweeps. Everything per-send or per-record stays
-// header-inline (DestHist::at, OutArena::append).
+// Cold paths of the arena subsystem: outbox growth, pool bookkeeping, and
+// the sanitize/footprint sweeps. Everything per-send stays header-inline
+// (OutArena::append).
 
 namespace dgr::ncc {
-
-// ------------------------------------------------------------ DestHist ----
-
-void DestHist::grow() {
-  const std::size_t next = tab_.empty() ? 64 : tab_.size() * 2;
-  std::vector<Ent> old = std::move(tab_);
-  tab_.assign(next, Ent{});
-  const std::size_t mask = next - 1;
-  // Only this epoch's live entries survive the move; stale ones are the
-  // whole point of the epoch scheme and are dropped for free here.
-  std::size_t moved = 0;
-  for (const Ent& e : old) {
-    if (e.epoch != epoch_) continue;
-    std::size_t i = probe_start(e.key, mask);
-    while (tab_[i].epoch == epoch_) i = (i + 1) & mask;
-    tab_[i] = e;
-    ++moved;
-  }
-  NCC_INVARIANT(moved == live_,
-                "DestHist::grow lost or duplicated a live entry: moved "
-                    << moved << " of " << live_
-                    << " (an epoch stamp is corrupt, or at() claimed a slot "
-                       "without counting it)");
-  (void)moved;
-}
 
 // ------------------------------------------------------------ OutArena ----
 
@@ -48,8 +23,7 @@ void OutArena::grow(std::size_t need) {
 }
 
 std::size_t OutArena::footprint_bytes() const {
-  return cap * sizeof(std::uint64_t) + hist.footprint_bytes() +
-         touched.capacity() * sizeof(Slot) + wake.capacity() * sizeof(Slot);
+  return cap * sizeof(std::uint64_t) + wake.capacity() * sizeof(Slot);
 }
 
 // --------------------------------------------------------- RoundScratch ----
@@ -91,8 +65,6 @@ void RoundScratch::sanitize() {
   for (auto& out : outboxes) {
     out.len = 0;
     out.max_send = 0;
-    out.hist.advance_epoch();
-    out.touched.clear();
     out.wake.clear();
   }
   // touched_dests covers a round aborted mid-delivery (counts and inbox
@@ -130,8 +102,7 @@ std::size_t RoundScratch::footprint_bytes() const {
 
 bool RoundScratch::invariants_clean() const {
   for (const auto& out : outboxes) {
-    if (out.len != 0 || !out.touched.empty() || !out.wake.empty()) return false;
-    if (!out.hist.all_zero()) return false;
+    if (out.len != 0 || !out.wake.empty()) return false;
   }
   if (!touched_dests.empty() || !inbox_dests.empty() || !bounce_srcs.empty())
     return false;

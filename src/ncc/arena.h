@@ -1,6 +1,6 @@
-// Round-engine arenas: the per-worker outbox, the sparse per-worker
-// destination histogram, the poolable bundle of every round-transient
-// buffer a Network owns (RoundScratch), and the cross-Network ArenaPool.
+// Round-engine arenas: the per-worker outbox, the poolable bundle of every
+// round-transient buffer a Network owns (RoundScratch), and the
+// cross-Network ArenaPool.
 //
 // Memory contract (the million-node mode): nothing in this file grows
 // O(threads x n), and every eagerly-sized table is one of the four slim
@@ -8,23 +8,21 @@
 // inbox_len / inbox_cur, 24 bytes per node, constant in the thread
 // count). Everything else is O(traffic + touched destinations):
 //   - outbox arenas and the inbox arena grow with the words actually sent;
-//   - per-worker histograms are epoch-stamped open-addressing tables sized
-//     by the destinations a worker actually touches in a round (DestHist),
-//     replacing the dense `hist.assign(n, 0)` that cost O(threads x n)
-//     before a single message moved;
+//   - the counting sort keeps no per-worker table: deliver() re-streams the
+//     outbox headers into the one shared dest_count index;
 //   - the overflow/bounce cursor tables are allocated lazily, on the first
 //     round that actually overflows a receiver — a clean huge-n
 //     realization never pays for them.
 //
 // RoundScratch + ArenaPool: all of the above is bundled so a Network can
 // borrow its round-transient state from a pool (Config::arena_pool) and
-// return it at destruction, letting wire arenas, histograms, and per-phase
-// scratch be reused across the 5 realization algorithms of a Runner matrix
+// return it at destruction, letting wire arenas and per-phase scratch be
+// reused across the 5 realization algorithms of a Runner matrix
 // (or across serve cold runs) instead of being re-resized from scratch per
 // Network. Reuse is invisible to the simulation: every buffer here is
 // either rewritten each round or held to an explicit between-round
-// invariant (all-zero histograms and counts, length tables zero outside
-// the touched lists), and sanitize() restores those invariants at release,
+// invariant (all-zero counts, length tables zero outside the touched
+// lists), and sanitize() restores those invariants at release,
 // so transcripts are bit-identical with a pool attached or not — at any
 // thread count. The pool is mutex-guarded and bounded (max_free); trim()
 // reclaims everything it retains.
@@ -41,89 +39,6 @@
 
 namespace dgr::ncc {
 
-/// Per-worker destination histogram with O(touched) memory and an O(1)
-/// between-round reset. Open-addressing table keyed by destination slot;
-/// each entry is stamped with the epoch that wrote it, so advance_epoch()
-/// invalidates every entry without touching memory — the dense
-/// `assign(n, 0)` clear (and its O(threads x n) footprint) is gone.
-/// Values are the engine's packed accounting word: message count in the
-/// low 32 bits, record words in the high 32.
-class DestHist {
- public:
-  /// Reference to the packed counter for `dst`, zero on the first touch
-  /// of the current epoch. Hot path of Ctx::send — kept header-inline.
-  std::uint64_t& at(Slot dst) {
-    if (live_ * 2 >= tab_.size()) [[unlikely]] grow();
-    const std::size_t mask = tab_.size() - 1;
-    std::size_t i = probe_start(dst, mask);
-    for (;;) {
-      Ent& e = tab_[i];
-      if (e.epoch != epoch_) {
-        // Empty or stale slot: claim it for this epoch.
-        e.key = dst;
-        e.epoch = epoch_;
-        e.packed = 0;
-        ++live_;
-        return e.packed;
-      }
-      if (e.key == dst) return e.packed;
-      i = (i + 1) & mask;
-    }
-  }
-
-  /// The packed counter for `dst`, or 0 when untouched this epoch.
-  std::uint64_t get(Slot dst) const {
-    if (tab_.empty()) return 0;
-    const std::size_t mask = tab_.size() - 1;
-    std::size_t i = probe_start(dst, mask);
-    for (;;) {
-      const Ent& e = tab_[i];
-      if (e.epoch != epoch_) return 0;
-      if (e.key == dst) return e.packed;
-      i = (i + 1) & mask;
-    }
-  }
-
-  /// O(1) reset: every live entry becomes stale. Epoch 0 marks
-  /// never-written entries, so a wrap re-stamps the table once.
-  void advance_epoch() {
-    live_ = 0;
-    if (++epoch_ == 0) [[unlikely]] {
-      for (Ent& e : tab_) e.epoch = 0;
-      epoch_ = 1;
-    }
-  }
-
-  std::size_t live_count() const { return live_; }
-  std::size_t footprint_bytes() const { return tab_.capacity() * sizeof(Ent); }
-
-  /// Debug invariant: between rounds no destination may carry a live
-  /// nonzero count (deliver() folds and advance_epoch() retires them all).
-  bool all_zero() const {
-    for (const Ent& e : tab_) {
-      if (e.epoch == epoch_ && e.packed != 0) return false;
-    }
-    return true;
-  }
-
- private:
-  struct Ent {
-    std::uint64_t packed = 0;
-    Slot key = kNoSlot;
-    std::uint32_t epoch = 0;  // 0 = never written (epoch_ starts at 1)
-  };
-
-  static std::size_t probe_start(Slot s, std::size_t mask) {
-    return (static_cast<std::uint32_t>(s) * 2654435761u) & mask;
-  }
-
-  void grow();  // cold: doubles the table, re-inserting live entries only
-
-  std::vector<Ent> tab_;
-  std::uint32_t epoch_ = 1;
-  std::size_t live_ = 0;
-};
-
 /// One worker's outbox: a single flat stream of variable-length wire
 /// records, each `2 + size (+ trailer)` 64-bit words (see ncc::wire in
 /// message.h). A one-word message costs 24 bytes instead of
@@ -133,25 +48,13 @@ class DestHist {
 /// cursor and copies accepted records verbatim to their final inbox
 /// position.
 ///
-/// Cache-line aligned: each worker writes its own arena's fields (len,
-/// the histogram, touched) on every send, so neighbouring arenas in
-/// RoundScratch::outboxes must not share a line.
+/// Cache-line aligned: each worker writes its own arena's len on every
+/// send, so neighbouring arenas in RoundScratch::outboxes must not share a
+/// line.
 struct alignas(64) OutArena {
   std::unique_ptr<std::uint64_t[]> buf;
   std::size_t len = 0;  // words used
   std::size_t cap = 0;  // words allocated
-  // Per-destination send accounting, maintained by Ctx::send so the
-  // reliable-network fast path in deliver() never has to re-stream the
-  // records just to build its counting-sort histogram. Sparse: O(touched
-  // destinations) memory, O(1) epoch reset (see DestHist). Maintained even
-  // on lossy networks (where deliver() rebuilds counts post-drop and
-  // ignores this): set_drop_probability is a live knob, and gating the
-  // upkeep would put a branch on the reliable send path. Rounds predicted
-  // dense skip the upkeep entirely (Network::dense_round_) and deliver()
-  // re-streams the headers instead.
-  DestHist hist;
-  // Destinations with hist.at(d) > 0, in first-send order (dedup by hist).
-  std::vector<Slot> touched;
   // Slots whose body called Ctx::wake() this round. Ascending by slot: a
   // worker walks its slice in slot order, so per-arena lists concatenate
   // sorted across the pool's contiguous slices.
@@ -196,7 +99,7 @@ struct Bounced {
 /// they survive the Network itself.
 ///
 /// Between-round invariants (hold on release to the pool, and therefore on
-/// acquire from it): every hist is epoch-clean and dest_count is all-zero;
+/// acquire from it): dest_count is all-zero;
 /// inbox_len is nonzero only at slots named by inbox_dests; bounced[s] is
 /// nonempty only for slots named by bounce_srcs; every list is consumed by
 /// the round that reads it. sanitize() restores all of this in
@@ -262,7 +165,7 @@ struct RoundScratch {
   /// accounting and the shrink tests).
   std::size_t footprint_bytes() const;
 
-  /// Debug-build invariant probe: histograms and dest_count all-zero,
+  /// Debug-build invariant probe: dest_count all-zero,
   /// length tables zero outside their lists' scope.
   bool invariants_clean() const;
 };

@@ -80,9 +80,9 @@ struct Config {
   bool random_ids = true;
 
   /// Optional cross-Network scratch pool (ncc/arena.h). When set, the
-  /// Network borrows its round-transient buffers — outbox arenas, sparse
-  /// histograms, the inbox arena, overflow scratch — from this pool at
-  /// construction and returns them at destruction, so a sequence of
+  /// Network borrows its round-transient buffers — outbox arenas, the
+  /// counting-sort tables, the inbox arena, overflow scratch — from this
+  /// pool at construction and returns them at destruction, so a sequence of
   /// Networks (a Runner matrix over all realization algorithms, a serve
   /// driver's cold runs) reuses warm allocations instead of re-resizing
   /// from scratch each time. Purely an allocation strategy: transcripts

@@ -25,9 +25,9 @@ namespace {
 /// round, so acceptance consults its overflow-bitmap cursor.
 constexpr std::uint32_t kOvfBit = 0x80000000u;
 
-// Packed per-destination accounting (OutArena::hist / RoundScratch::
-// dest_count): message count in the low 32 bits, record words in the high
-// 32. One add maintains both.
+// Packed per-destination accounting (RoundScratch::dest_count): message
+// count in the low 32 bits, record words in the high 32. One add maintains
+// both.
 inline std::uint64_t pack_one(std::size_t rec_words) {
   return std::uint64_t{1} | (static_cast<std::uint64_t>(rec_words) << 32);
 }
@@ -162,11 +162,11 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
   // a previous Network's run — a Runner matrix reuses one bundle across
   // all its realization algorithms) or freshly default-constructed.
   // prepare() sizes only the slim always-touched per-destination indices
-  // (24 B/node, independent of the thread count); the per-worker
-  // histograms are sparse (DestHist) and the overflow tables stay
-  // absent until a round actually needs them, so constructing a
-  // million-node Network costs O(n) for the model state (IDs, knowledge,
-  // RNG streams) and O(1) per worker for the datapath.
+  // (24 B/node, independent of the thread count); the per-worker outboxes
+  // grow with traffic and the overflow tables stay absent until a round
+  // actually needs them, so constructing a million-node Network costs O(n)
+  // for the model state (IDs, knowledge, RNG streams) and O(1) per worker
+  // for the datapath.
   if (cfg_.arena_pool) {
     pool_ = cfg_.arena_pool;
     scr_ = pool_->acquire();
@@ -313,14 +313,10 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
   // Reset per-round arena state. The touched/count lists are normally empty
   // here (deliver() consumed them); after a round aborted by a body or
   // strict-mode exception they heal the partial state, keeping the
-  // between-rounds invariants (hist, dest_count, inbox_len all zero —
-  // advance_epoch retires any live histogram entries in O(1) regardless of
-  // how the previous round ended).
+  // between-rounds invariants (dest_count and inbox_len all zero).
   for (auto& out : sc.outboxes) {
     out.clear();
     out.max_send = 0;
-    out.hist.advance_epoch();
-    out.touched.clear();
     out.wake.clear();
   }
   for (const Slot d : sc.touched_dests) {
@@ -328,14 +324,6 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
     sc.inbox_len[d] = 0;
   }
   sc.touched_dests.clear();
-
-  // Dense-round fast path: when the previous delivery touched at least
-  // n/kDenseSweep destinations, predict this round dense too — Ctx::send
-  // skips histogram/first-touch upkeep and deliver() rebuilds the counts
-  // with a sequential header re-stream. Pure bookkeeping strategy (the
-  // transcript is identical either way), so a misprediction only costs one
-  // round of the slower variant.
-  dense_round_ = last_dense_;
 
   // Run the per-node body. Nodes are independent by contract, so slots can
   // be processed in parallel; all randomness is per-slot, so the transcript
@@ -431,97 +419,46 @@ void Network::deliver() {
   for (const Slot s : sc.bounce_srcs) sc.bounced[s].clear();
   sc.bounce_srcs.clear();
 
-  // Pass 1 — drop/crash filtering and the counting-sort histogram. On the
-  // reliable fast path (no loss, no crashes) nothing can be dropped: the
-  // per-worker histograms Ctx::send maintained already hold the final
-  // counts, and folding their touched lists yields the destination set —
-  // no header re-stream at all. Otherwise the headers are walked in
-  // global source-slot order (worker arenas in slice order), consuming the
-  // delivery stream exactly as the serial seed engine did.
-  std::uint64_t sent = 0;
+  // Pass 1 — the counting-sort histogram: one re-stream of the record
+  // headers in global source-slot order (worker arenas in slice order),
+  // appending each destination to touched_dests the first time it is
+  // counted. On a lossy or crashed network the same walk filters drops
+  // first, consuming the delivery stream exactly as the serial seed engine
+  // did; a reliable network draws nothing here.
   std::uint64_t dropped = 0;
   const bool lossy = cfg_.drop_probability > 0.0;
-  const bool fast = !lossy && crashed_n_ == 0;
+  const bool filter = lossy || crashed_n_ != 0;
   const bool trailered = !is_clique();  // records carry ID-slot trailers
+  for (auto& out : sc.outboxes) {
+    std::uint64_t* p = out.buf.get();
+    std::uint64_t* const end = p + out.len;
+    while (p < end) {
+      const std::size_t rl = wire::record_words(p, trailered);
+      const Slot dst = wire::dst(p);
+      // Link loss: the message silently disappears; the sender learns
+      // nothing (unlike a capacity bounce). A crashed destination behaves
+      // identically — the sender cannot tell the difference.
+      const bool drop =
+          filter && (crashed_[dst] ||
+                     (lossy && delivery_rng.chance(cfg_.drop_probability)));
+      if (drop) {
+        ++dropped;
+        if (trace_)
+          trace_->record({stats_.rounds, wire::src(p), dst, wire::tag(p),
+                          MessageOutcome::kDropped});
+        wire::retarget(p, kNoSlot);  // tombstone: placement skips it
+      } else {
+        std::uint64_t& c = sc.dest_count[dst];
+        if (c == 0) sc.touched_dests.push_back(dst);
+        c += pack_one(rl);
+      }
+      p += rl;
+    }
+  }
   // Near-dense rounds run the O(n) sequential variants of the passes below
   // (ordered-destination rebuild, zeroing): at that density streaming beats
   // list-driven scatters. Sparse rounds touch only the lists.
-  bool dense_sweep = false;
-  // Whether the fold below consumed (and re-zeroed) the per-worker
-  // histogram entries — the debug all-zero invariant only holds then.
-  bool hist_consumed = false;
-  if (!fast) {
-    // dest_count is all-zero between rounds; only survivors count.
-    for (auto& out : sc.outboxes) {
-      std::uint64_t* p = out.buf.get();
-      std::uint64_t* const end = p + out.len;
-      while (p < end) {
-        ++sent;
-        const std::size_t rl = wire::record_words(p, trailered);
-        const Slot dst = wire::dst(p);
-        // Link loss: the message silently disappears; the sender learns
-        // nothing (unlike a capacity bounce). A crashed destination behaves
-        // identically — the sender cannot tell the difference.
-        if (crashed_[dst] ||
-            (lossy && delivery_rng.chance(cfg_.drop_probability))) {
-          ++dropped;
-          if (trace_)
-            trace_->record({stats_.rounds, wire::src(p), dst, wire::tag(p),
-                            MessageOutcome::kDropped});
-          wire::retarget(p, kNoSlot);  // tombstone: placement skips it
-        } else {
-          std::uint64_t& c = sc.dest_count[dst];
-          if (c == 0) sc.touched_dests.push_back(dst);
-          c += pack_one(rl);
-        }
-        p += rl;
-      }
-    }
-    dense_sweep = dense_round_ || sc.touched_dests.size() >= n_ / kDenseSweep;
-  } else if (dense_round_) {
-    // Dense-round fast path: Ctx::send maintained no histograms this round.
-    // Re-stream the headers sequentially (the PR2 shape) — at this density
-    // the streaming pass beats per-send scattered upkeep — and rebuild the
-    // ordered destination list with the O(n) sweep below.
-    for (const auto& out : sc.outboxes) {
-      const std::uint64_t* p = out.buf.get();
-      const std::uint64_t* const end = p + out.len;
-      while (p < end) {
-        const std::size_t rl = wire::record_words(p, trailered);
-        sc.dest_count[wire::dst(p)] += pack_one(rl);
-        p += rl;
-      }
-    }
-    dense_sweep = true;
-  } else {
-    std::size_t touched_total = 0;
-    for (const auto& out : sc.outboxes) touched_total += out.touched.size();
-    dense_sweep = touched_total >= n_ / kDenseSweep;
-    hist_consumed = true;
-    // Fold only the destinations each worker actually sent to, consuming
-    // (and re-zeroing) each sparse histogram entry as it folds. The
-    // near-dense case used to stream whole dense histograms here; with
-    // O(touched) tables the touched lists ARE the histogram's extent, and
-    // the ordered destination list is rebuilt by the O(n) sweep below.
-    if (dense_sweep) {
-      for (auto& out : sc.outboxes) {
-        for (const Slot d : out.touched) {
-          std::uint64_t& h = out.hist.at(d);
-          sc.dest_count[d] += h;
-          h = 0;
-        }
-      }
-    } else {
-      for (auto& out : sc.outboxes) {
-        for (const Slot d : out.touched) {
-          std::uint64_t& h = out.hist.at(d);
-          if (sc.dest_count[d] == 0) sc.touched_dests.push_back(d);
-          sc.dest_count[d] += h;
-          h = 0;
-        }
-      }
-    }
-  }
+  const bool dense_sweep = sc.touched_dests.size() >= n_ / kDenseSweep;
   std::uint64_t round_max_send = 0;
   for (const auto& out : sc.outboxes)
     round_max_send = std::max<std::uint64_t>(
@@ -603,7 +540,8 @@ void Network::deliver() {
   DGR_CHECK_MSG(bounce_total < kOvfBit,
                 "round too large for 32-bit delivery cursors ("
                     << bounce_total << " bounced)");
-  if (fast) sent = accept_msgs + bounce_total;  // nothing was dropped
+  // Every sent message was dropped, accepted or bounced.
+  const std::uint64_t sent = dropped + accept_msgs + bounce_total;
   stats_.messages_sent += sent;
   stats_.messages_dropped += dropped;
   // The bitmap buffer has its final size now; plant the per-destination
@@ -791,8 +729,8 @@ void Network::deliver() {
   }
 
   // Tail — compute the next round's frontier and restore the between-round
-  // invariants (dest_count and the worker histograms return to all-zero;
-  // touched_dests hands the recipient list to the next cleanup).
+  // invariants (dest_count returns to all-zero; touched_dests hands the
+  // recipient list to the next cleanup).
   wake_scratch_.clear();
   for (auto& out : sc.outboxes) {
     // Worker slices are contiguous and ascending, so concatenating the
@@ -803,17 +741,6 @@ void Network::deliver() {
                            out.wake.end());
       out.wake.clear();
     }
-    // The fold above consumed every live histogram entry: between rounds
-    // no destination may carry a nonzero count. (Paths that never read the
-    // histograms — lossy/crash re-streams, dense-round re-streams — leave
-    // their entries live; advance_epoch retires those wholesale.)
-    NCC_INVARIANT(!hist_consumed || out.hist.all_zero(),
-                  "per-worker histogram not all-zero after the delivery "
-                  "fold (between-round invariant violated; deliver()'s "
-                  "fold re-zeroes every entry it consumes)");
-    (void)hist_consumed;
-    out.hist.advance_epoch();
-    out.touched.clear();
   }
   if (frontier_track_) {
     std::sort(sc.bounce_srcs.begin(), sc.bounce_srcs.end());
@@ -829,13 +756,6 @@ void Network::deliver() {
   } else {
     for (const Slot d : sc.touched_dests) sc.dest_count[d] = 0;
   }
-  // Next round's dense-fast-path prediction: this round's actual touched-
-  // destination density against the sweep threshold. (Deliberately NOT
-  // triggered by raw traffic: a hot-spot fan-in like the overflow bench
-  // moves n·cap/2 messages to 8 destinations, and there the per-worker
-  // histogram fold is 8 entries — far cheaper than re-streaming every
-  // record header.)
-  last_dense_ = sc.touched_dests.size() >= n_ / kDenseSweep;
   sc.inbox_dests.swap(sc.touched_dests);
   sc.touched_dests.clear();
 
@@ -860,7 +780,6 @@ void Network::deliver() {
         frontier_track_ ? static_cast<std::uint32_t>(active_.size()) : 0;
     smp.frontier_tracked = frontier_track_;
     smp.crashed = static_cast<std::uint32_t>(crashed_n_);
-    smp.dense_fast_path = dense_round_;
     smp.dense_sweep = dense_sweep;
     smp.sparse_dispatch = sparse_dispatch_;
     smp.phase_ns = round_ns_;

@@ -37,8 +37,10 @@
 //     variable-length records (a one-word message costs 24 bytes, not
 //     sizeof(Message)); arenas concatenate to global source-slot order,
 //     making the transcript identical for any thread count;
-//   - deliver() counting-sorts messages by destination and copies each wire
-//     record exactly once, verbatim, straight to its final position in a
+//   - deliver() counting-sorts messages by destination: one re-stream of
+//     the record headers builds the per-destination counts and the touched
+//     list (Ctx::send keeps no per-send bookkeeping). It then copies each
+//     wire record exactly once, verbatim, straight to its final position in a
 //     shared flat dest-major inbox arena of variable-length records — the
 //     receive side is zero-copy end to end: no 48B Message materialization,
 //     no per-message metadata sidecar. Ctx::inbox_view() hands bodies an
@@ -67,21 +69,15 @@
 //   - every per-round sweep is list-driven: touched destinations, bounce
 //     sources, and the active frontier name exactly the entries to visit
 //     and re-zero, so a round costs O(traffic + frontier), not O(n) (near-
-//     dense rounds fall back to sequential sweeps, which are cheaper than
-//     scattering at that density). Rounds predicted dense — the previous
-//     delivery touched at least 1/16th of all destinations — additionally
-//     run a dense-round fast path: Ctx::send skips the per-send histogram
-//     and first-touch upkeep entirely and deliver() rebuilds the counting-
-//     sort histogram with a PR2-style sequential re-stream of the record
-//     headers, recovering the all-dense workloads' list-upkeep tax. The
-//     mode is pure bookkeeping strategy: transcripts are bit-identical
-//     either way, and a misprediction only costs one round of the slower
-//     bookkeeping;
-//   - datapath memory is O(traffic), not O(threads·n): the per-worker send
-//     histograms are epoch-stamped sparse tables (DestHist, ncc/arena.h)
-//     sized by the destinations a worker actually touches, and the
-//     overflow/bounce cursor tables materialize lazily on first use. The
-//     whole round-transient bundle (RoundScratch) can be
+//     dense rounds — at least 1/16th of all destinations touched — fall
+//     back to sequential sweeps, which are cheaper than scattering at that
+//     density; the choice follows the round's own touched count and is
+//     pure bookkeeping strategy, so transcripts are bit-identical either
+//     way);
+//   - datapath memory is O(traffic), not O(threads·n): outbox arenas grow
+//     with the words sent, the per-destination counts are one shared
+//     table, and the overflow/bounce cursor tables materialize lazily on
+//     first use. The whole round-transient bundle (RoundScratch) can be
 //     borrowed from a cross-Network ArenaPool (Config::arena_pool) so
 //     consecutive simulations reuse warm arenas — an allocation strategy
 //     only; transcripts are bit-identical with reuse on or off;
@@ -582,11 +578,6 @@ class Network {
   // Delivery generation; bumped every deliver() when the inbox arena is
   // repacked. Debug InboxViews stamp it to diagnose stale dereferences.
   std::uint64_t inbox_gen_ = 0;
-  // Dense-round fast path (see the file comment): when the previous
-  // delivery touched >= n/16 destinations, the next round skips send-side
-  // histogram/first-touch upkeep and deliver() re-streams the headers.
-  bool dense_round_ = false;
-  bool last_dense_ = false;
   // Active-set scheduling state. active_ is the next round_active frontier
   // (sorted + deduped once flushed); run_list_ is the round-owned copy the
   // workers read; round_list_ aliases it while a sparse round executes.
@@ -736,18 +727,6 @@ inline void Ctx::send(NodeId to, Message m) {
       }
     }
   }
-  // Dense-round fast path: deliver() re-streams the record headers
-  // sequentially, so the per-send histogram and first-touch upkeep would be
-  // dead work — skip them behind one predictable branch. The histogram is
-  // an epoch-stamped sparse table (DestHist): at() hands back a zeroed
-  // counter on a destination's first touch of the round, so the first-touch
-  // test below stays one compare and the table's memory stays O(touched),
-  // never O(n) per worker.
-  if (!net_.dense_round_) {
-    std::uint64_t& h = out_->hist.at(dst);
-    if (h == 0) out_->touched.push_back(dst);
-    h += std::uint64_t{1} | (static_cast<std::uint64_t>(rec_len) << 32);
-  }
   ++sends_;
 }
 
@@ -767,11 +746,6 @@ inline void Ctx::send1(NodeId to, std::uint32_t tag, std::uint64_t word) {
       sends_ >= net_.capacity_) [[unlikely]] {
     out_->len -= rec_len;  // pop the rejected record
     net_.send_fail(slot_, to, p, sends_);
-  }
-  if (!net_.dense_round_) {
-    std::uint64_t& h = out_->hist.at(dst);
-    if (h == 0) out_->touched.push_back(dst);
-    h += std::uint64_t{1} | (std::uint64_t{rec_len} << 32);
   }
   ++sends_;
 }
@@ -806,11 +780,6 @@ inline void Ctx::send1_id(NodeId to, std::uint32_t tag, NodeId id) {
     // ID is still rejected exactly as send()'s forwarded-ID loop does.
     out_->len -= rec_len;  // pop the rejected record
     net_.send_fail(slot_, to, p, sends_);
-  }
-  if (!net_.dense_round_) {
-    std::uint64_t& h = out_->hist.at(dst);
-    if (h == 0) out_->touched.push_back(dst);
-    h += std::uint64_t{1} | (static_cast<std::uint64_t>(rec_len) << 32);
   }
   ++sends_;
 }

@@ -47,7 +47,6 @@ struct RoundSample {
   std::uint32_t crashed = 0;     ///< total crashed nodes after this round
 
   // Execution strategy (bookkeeping choices, not transcript content).
-  bool dense_fast_path = false;  ///< send-side histogram upkeep was bypassed
   bool dense_sweep = false;      ///< delivery used sequential O(n) sweeps
   bool sparse_dispatch = false;  ///< bodies ran on the active list only
 

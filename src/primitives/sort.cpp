@@ -115,7 +115,7 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
   // themselves active (self-wake) through the stage schedule — the stage
   // count is common knowledge — and release at the drain round, which ends
   // the wave. The engine still owes us the win that matters here: inboxes,
-  // histograms, and frontier bookkeeping all scale with the traffic.
+  // counting-sort lists, and frontier bookkeeping all scale with the traffic.
   wake_members(net, path);
   for (std::size_t si = 0; si <= stages.size(); ++si) {
     net.round_active([&](ncc::Ctx& ctx) {

@@ -26,7 +26,7 @@ ImplicitDegreeResult realize_upper_envelope_ncc1(
   // Feasibility is locally checkable in NCC1 (n is common knowledge):
   // d(v) > n-1 admits no simple realization, envelope or otherwise.
   for (ncc::Slot s = 0; s < n; ++s) {
-    if (degree[s] + 1 > n) {
+    if (degree[s] >= n) {
       result.realizable = false;
       result.rounds = net.stats().rounds - start;
       return result;

@@ -30,7 +30,7 @@ bool thresholds_feasible(ncc::Network& net, const TreeOverlay& tree,
                          const std::vector<std::uint64_t>& rho) {
   const std::size_t n = net.n();
   std::vector<std::uint64_t> flag(n, 0);
-  for (ncc::Slot s = 0; s < n; ++s) flag[s] = rho[s] + 1 > n ? 1 : 0;
+  for (ncc::Slot s = 0; s < n; ++s) flag[s] = rho[s] >= n ? 1 : 0;
   return prim::aggregate_and_broadcast(net, tree, flag, prim::comb_or) == 0;
 }
 

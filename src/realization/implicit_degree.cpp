@@ -48,7 +48,7 @@ ImplicitDegreeResult realize_degrees_on_path(
   for (const ncc::Slot s : path.order) {
     residual[s] = degree[s];
     degree_sum += degree[s];
-    if (degree[s] + 1 > members) too_large = true;
+    if (degree[s] >= members) too_large = true;
   }
   // d_i > |path|-1 can never be met by a simple graph on the members; in
   // exact mode this is Unrealizable, and the envelope guarantee is equally
@@ -58,7 +58,7 @@ ImplicitDegreeResult realize_degrees_on_path(
   {
     std::vector<std::uint64_t> flag(n, 0);
     for (const ncc::Slot s : path.order)
-      flag[s] = residual[s] + 1 > members ? 1 : 0;
+      flag[s] = residual[s] >= members ? 1 : 0;
     const std::uint64_t any = prim::aggregate_and_broadcast(
         net, agg_tree, flag, prim::comb_or);
     DGR_CHECK(static_cast<bool>(any) == too_large);

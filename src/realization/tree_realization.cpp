@@ -47,13 +47,16 @@ TreeSetup tree_setup(ncc::Network& net,
   // Realizability test (aggregate + broadcast, Theorem 4).
   const std::uint64_t sum = prim::aggregate_and_broadcast(
       net, setup.agg_tree, degree, prim::comb_sum);
-  std::vector<std::uint64_t> zero_flag(n, 0);
-  for (ncc::Slot s = 0; s < n; ++s) zero_flag[s] = degree[s] == 0 ? 1 : 0;
-  const std::uint64_t any_zero = prim::aggregate_and_broadcast(
-      net, setup.agg_tree, zero_flag, prim::comb_or);
+  // A tree degree lies in [1, n-1]. The range flag also catches a degree
+  // near UINT64_MAX whose wrapped sum lands on 2(n-1).
+  std::vector<std::uint64_t> bad_flag(n, 0);
+  for (ncc::Slot s = 0; s < n; ++s)
+    bad_flag[s] = degree[s] == 0 || degree[s] >= n ? 1 : 0;
+  const std::uint64_t any_bad = prim::aggregate_and_broadcast(
+      net, setup.agg_tree, bad_flag, prim::comb_or);
   const bool ok = n == 1 ? degree[0] == 0
                          : (sum == 2 * (static_cast<std::uint64_t>(n) - 1) &&
-                            any_zero == 0);
+                            any_bad == 0);
   if (!ok) {
     setup.realizable = false;
     return setup;

@@ -339,7 +339,7 @@ MatrixReport run_matrix(std::span<const ScenarioSpec> specs,
 
   // One scratch pool for the whole matrix (unless the caller supplied
   // one): consecutive runs — across all 5 realization algorithms and the
-  // full n sweep — reuse warm wire arenas and histograms instead of
+  // full n sweep — reuse warm wire arenas and delivery tables instead of
   // re-resizing per Network. Sized so every concurrent run can hold a
   // bundle and still return it to the free list. Allocation strategy only;
   // the report bytes are identical with or without it (tested).

@@ -59,8 +59,8 @@ struct RunnerOptions {
   /// Round-scratch pool shared by every run's Network (execution detail;
   /// not in reports — transcripts are bit-identical with reuse on or off).
   /// Null lets run_matrix create one internally, so a matrix sweep reuses
-  /// warm wire arenas and histograms across all its algorithms and sizes
-  /// by default; run_one only pools when a pool is supplied. Non-owning;
+  /// warm wire arenas and delivery tables across all its algorithms and
+  /// sizes by default; run_one only pools when a pool is supplied. Non-owning;
   /// must outlive the call.
   ncc::ArenaPool* arena_pool = nullptr;
   std::uint64_t telemetry_interval = 8;

@@ -25,7 +25,6 @@ void Telemetry::fold(IntervalRecord& r, const ncc::RoundSample& s) {
   r.max_frontier = std::max(r.max_frontier, s.frontier);
   r.inbox_words_peak = std::max(r.inbox_words_peak, s.inbox_words);
   r.crashed_end = s.crashed;
-  r.dense_fast_rounds += s.dense_fast_path ? 1 : 0;
   r.dense_sweep_rounds += s.dense_sweep ? 1 : 0;
   r.sparse_dispatch_rounds += s.sparse_dispatch ? 1 : 0;
 }

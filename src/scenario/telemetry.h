@@ -10,7 +10,7 @@
 //
 // Determinism: every folded field is transcript content (invariant across
 // thread counts and sparse/dense scheduling). The execution-strategy
-// counters (dense_fast_rounds, dense_sweep_rounds, sparse_dispatch_rounds)
+// counters (dense_sweep_rounds, sparse_dispatch_rounds)
 // describe how the engine chose to run and are deliberately kept OUT of
 // the scenario reports (report.cpp), which promise byte-identical output
 // across schedulers; they remain queryable here for perf forensics.
@@ -38,7 +38,6 @@ struct IntervalRecord {
   std::uint64_t inbox_words_peak = 0;
   std::uint32_t crashed_end = 0;   ///< crashed count after the last round
   // Execution strategy (not part of the report surface).
-  std::uint32_t dense_fast_rounds = 0;
   std::uint32_t dense_sweep_rounds = 0;
   std::uint32_t sparse_dispatch_rounds = 0;
 };

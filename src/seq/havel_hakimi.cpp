@@ -18,7 +18,7 @@ bool hh_run(const graph::DegreeSequence& d, OnEdge&& connect) {
   std::priority_queue<Entry> pq;
   const std::size_t n = d.size();
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (d[v] + 1 > n) return false;  // degree too large for a simple graph
+    if (d[v] >= n) return false;  // degree too large for a simple graph
     if (d[v] > 0) pq.push({d[v], v});
   }
   std::vector<Entry> taken;

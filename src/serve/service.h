@@ -99,8 +99,8 @@ class RealizationService {
   /// Network for the canonical request and validate the outcome. Pure
   /// function of (key); net_threads and pool are transcript-neutral. A
   /// non-null pool recycles the Network's round scratch (wire arenas,
-  /// histograms) across runs — the service passes its own pool so back-to-
-  /// back cold runs on a driver stop re-faulting warm buffers.
+  /// delivery tables) across runs — the service passes its own pool so
+  /// back-to-back cold runs on a driver stop re-faulting warm buffers.
   static Realization cold_run(const CacheKey& key, unsigned net_threads,
                               ncc::ArenaPool* pool = nullptr);
 

@@ -9,8 +9,8 @@
 //   simulation, and user input validation belongs here too.
 //
 //   NCC_ASSERT / NCC_ASSERT_MSG / NCC_INVARIANT — internal debug
-//   contracts: executor claim accounting, DestHist epoch invariants,
-//   RoundScratch between-round cleanliness. Compiled out entirely in
+//   contracts: executor claim accounting, RoundScratch between-round
+//   cleanliness. Compiled out entirely in
 //   Release builds (NDEBUG): the condition expression is NOT evaluated,
 //   so an invariant probe may be arbitrarily expensive (a full-table
 //   walk) without taxing production rounds. Use them for conditions that

@@ -2,7 +2,7 @@
 // memory.
 //
 // Config::arena_pool recycles the whole per-Network round scratch bundle
-// (wire arenas, sparse histograms, inbox tables, overflow/bounce tables)
+// (wire arenas, counting-sort and inbox tables, overflow/bounce tables)
 // across Networks. The contract under test:
 //   (i)   a pooled run's transcript is bit-for-bit identical to a fresh
 //         Network's, for any thread count, either scheduler, and across
@@ -18,74 +18,19 @@
 #include <vector>
 
 #include "ncc/arena.h"
-#include "ncc/trace.h"
 #include "testing.h"
-#include "util/rng.h"
 
 namespace dgr {
 namespace {
 
-using ncc::Ctx;
-using ncc::make_msg;
-using ncc::Slot;
+using testing::RunFingerprint;
 
-struct RunFingerprint {
-  testing::NetFingerprint net;
-  std::vector<std::uint64_t> inbox_digest;
-  std::vector<std::uint64_t> bounce_digest;
-
-  bool operator==(const RunFingerprint& o) const {
-    return net == o.net && inbox_digest == o.inbox_digest &&
-           bounce_digest == o.bounce_digest;
-  }
-};
-
-// Every deliver() branch in one workload: hot-set oversubscription
-// (bounce), 15% link loss (lossy streaming pass), two mid-run crashes, and
-// flood/trickle oscillation so the dense-round prediction flips both ways.
+// Every deliver() branch in one workload (testing.h): hot-set
+// oversubscription, 15% link loss, two mid-run crashes, and flood/trickle
+// oscillation across the dense-sweep threshold.
 RunFingerprint run_workload(std::size_t n, unsigned threads, bool sparse,
                             ncc::ArenaPool* pool, bool traced = false) {
-  ncc::Config cfg;
-  cfg.seed = 909;
-  cfg.initial = ncc::InitialKnowledge::kClique;
-  cfg.threads = threads;
-  cfg.sparse_rounds = sparse;
-  cfg.drop_probability = 0.15;
-  cfg.arena_pool = pool;
-  ncc::Network net(n, cfg);
-  ncc::Trace trace;
-  if (traced) net.set_trace(&trace);
-
-  RunFingerprint fp;
-  fp.inbox_digest.assign(n, 0);
-  fp.bounce_digest.assign(n, 0);
-
-  for (int r = 0; r < 20; ++r) {
-    if (r == 4) net.crash(1);
-    if (r == 11) net.crash(static_cast<Slot>(n / 2));
-    net.round([&](Ctx& ctx) {
-      auto& in = fp.inbox_digest[ctx.slot()];
-      for (const auto m : ctx.inbox_view())
-        in = hash_mix(in, m.src(), m.word(0));
-      auto& bo = fp.bounce_digest[ctx.slot()];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
-      const auto ids = ctx.all_ids();
-      if (r % 4 < 2) {  // flood rounds: dense prediction, hot-set bounces
-        const int sends = ctx.capacity() / 2;
-        for (int i = 0; i < sends; ++i) {
-          const std::size_t pick = ctx.rng().chance(0.3)
-                                       ? ctx.rng().below(3)
-                                       : ctx.rng().below(ids.size());
-          ctx.send(ids[pick], make_msg(5).push(ctx.rng().below(1u << 18)));
-        }
-      } else if (ctx.slot() < 4) {  // trickle rounds: sparse prediction
-        ctx.send(ids[ctx.rng().below(ids.size())], make_msg(6).push(r));
-      }
-    });
-  }
-
-  fp.net = testing::net_fingerprint(net);
-  return fp;
+  return testing::run_crash_loss_overflow(n, threads, sparse, pool, traced);
 }
 
 TEST(ArenaPool, PooledTranscriptIdenticalToFresh) {
@@ -158,7 +103,7 @@ TEST(ArenaPool, ShrinkAfterHugeRunReclaimsEverything) {
   EXPECT_EQ(pool.free_count(), 1u);
   // The retained bundle is bounded by the largest run, not the sum of all
   // runs: a second, smaller run reuses it without meaningfully growing the
-  // pool (its different traffic may still nudge a small sparse table up a
+  // pool (its different traffic may still nudge a traffic-sized list up a
   // doubling, hence the slack — what must NOT happen is another O(n)).
   run_workload(256, 1, true, &pool);
   EXPECT_EQ(pool.free_count(), 1u);

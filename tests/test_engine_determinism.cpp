@@ -8,6 +8,7 @@
 // properties so engine rewrites cannot silently change the transcript.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -24,22 +25,7 @@ using ncc::make_msg;
 using ncc::NodeId;
 using ncc::Slot;
 
-// Full-fidelity fingerprint of a finished simulation: the shared engine
-// fingerprint (every NetStats field + per-node knowledge; see testing.h)
-// plus an order-sensitive checksum of every inbox and bounce observed by
-// every node.
-struct RunFingerprint {
-  testing::NetFingerprint net;
-  std::vector<std::uint64_t> inbox_digest;
-  std::vector<std::uint64_t> bounce_digest;
-
-  const ncc::NetStats& stats() const { return net.stats; }
-
-  bool operator==(const RunFingerprint& o) const {
-    return net == o.net && inbox_digest == o.inbox_digest &&
-           bounce_digest == o.bounce_digest;
-  }
-};
+using testing::RunFingerprint;
 
 // A seeded lossy + crashy workload: clique knowledge, every node floods a
 // random half of its budget (some destinations oversubscribe, so the bounce
@@ -397,15 +383,13 @@ TEST(EngineDeterminism, ActiveWaveTranscriptInvariantAcrossSchedulers) {
   EXPECT_GT(ref.stats().messages_delivered, 0u);
 }
 
-// The dense-round fast path (deliver() re-streams record headers instead of
-// folding send-side histograms once touched density crosses the 1/16 sweep
-// threshold) is predicted from the previous round's density, so a workload
+// deliver() switches between list-driven and O(n) sweep bookkeeping when a
+// round's touched-destination count crosses n/16 (kDenseSweep). A workload
 // that oscillates between all-dense floods and single-sender trickles
-// crosses the mode boundary in both directions — including rounds where the
-// prediction is wrong. The mode is bookkeeping strategy only: transcripts
-// must stay bit-identical across thread counts, a trace attachment, and
-// a lossy variant (which exercises the non-fast streaming pass under a
-// dense prediction).
+// crosses that boundary in both directions, every other round. The choice
+// is bookkeeping strategy only: transcripts must stay bit-identical across
+// thread counts, a trace attachment, and a lossy variant (which runs the
+// drop draws in the same counting pass).
 RunFingerprint run_density_oscillation(unsigned threads, bool traced,
                                        double drop) {
   constexpr std::size_t kN = 192;
@@ -430,8 +414,7 @@ RunFingerprint run_density_oscillation(unsigned threads, bool traced,
       for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
       const auto ids = ctx.all_ids();
       // 4-round cycle: two flood rounds (dense), two trickle rounds where
-      // only slot 0 sends one message (sparse) — each boundary runs one
-      // round under a stale density prediction.
+      // only slot 0 sends one message (sparse).
       if (r % 4 < 2) {
         const int sends = ctx.capacity() / 2;
         for (int i = 0; i < sends; ++i) {
@@ -450,11 +433,11 @@ RunFingerprint run_density_oscillation(unsigned threads, bool traced,
   return fp;
 }
 
-TEST(EngineDeterminism, DenseFastPathTranscriptInvariant) {
+TEST(EngineDeterminism, DensityOscillationTranscriptInvariant) {
   const RunFingerprint ref = run_density_oscillation(1, false, 0.0);
   EXPECT_TRUE(ref == run_density_oscillation(4, false, 0.0));
   EXPECT_TRUE(ref == run_density_oscillation(8, false, 0.0));
-  // A trace attached while the dense prediction keeps flipping.
+  // A trace attached while the sweep mode keeps flipping.
   EXPECT_TRUE(ref == run_density_oscillation(1, true, 0.0));
   // The flood rounds genuinely oversubscribed the hot set.
   EXPECT_GT(ref.stats().messages_bounced, 0u);
@@ -463,6 +446,76 @@ TEST(EngineDeterminism, DenseFastPathTranscriptInvariant) {
   EXPECT_TRUE(lossy == run_density_oscillation(8, false, 0.15));
   EXPECT_TRUE(lossy == run_density_oscillation(8, true, 0.15));
   EXPECT_GT(lossy.stats().messages_dropped, 0u);
+}
+
+// NCC0 learning gossip, so records carry ID-slot trailers and the learn
+// pass runs: every node hands its path successor its own ID (send1_id),
+// forwards one or two IDs it has heard to a random known node (a trailered
+// send), and pings the smallest ID it knows (send1) — a hot set that
+// oversubscribes once the gossip has spread it. `heard` is node-local
+// state: only IDs delivered to the node, all of them KT0-legal to use.
+RunFingerprint run_ncc0_learning() {
+  constexpr std::size_t kN = 96;
+  ncc::Config cfg;
+  cfg.seed = 4242;
+  cfg.capacity_factor = 1;  // capacity 7: the hot set overflows early
+  ncc::Network net(kN, cfg);
+
+  RunFingerprint fp;
+  fp.inbox_digest.assign(kN, 0);
+  fp.bounce_digest.assign(kN, 0);
+  std::vector<std::vector<NodeId>> heard(kN);
+
+  for (int r = 0; r < 16; ++r) {
+    net.round([&](Ctx& ctx) {
+      auto& known = heard[ctx.slot()];
+      auto& in = fp.inbox_digest[ctx.slot()];
+      for (const auto m : ctx.inbox_view()) {
+        in = hash_mix(in, m.src(), m.tag());
+        known.push_back(m.src());
+        for (std::size_t w = 0; w < m.size(); ++w) {
+          in = hash_mix(in, m.word(w));
+          if (m.id_mask() & (1u << w)) known.push_back(m.id_word(w));
+        }
+      }
+      auto& bo = fp.bounce_digest[ctx.slot()];
+      for (const auto& b : ctx.bounced())
+        bo = hash_mix(bo, b.dst, b.msg.words[0]);
+
+      const NodeId succ = ctx.initial_successor();
+      if (succ != ncc::kNoNode) ctx.send1_id(succ, 1, ctx.id());
+      if (known.empty()) return;
+      auto pick = [&] { return known[ctx.rng().below(known.size())]; };
+      auto m = make_msg(2).push_id(pick()).push(r);
+      if (ctx.rng().chance(0.5)) m.push_id(pick());
+      ctx.send(pick(), m);
+      ctx.send1(*std::min_element(known.begin(), known.end()), 3, r);
+    });
+  }
+
+  fp.net = testing::net_fingerprint(net);
+  return fp;
+}
+
+// Cross-commit pins. Every other suite here compares two configurations of
+// one build, so a change that altered the transcript identically in every
+// configuration would pass them all; these fixed-seed digests catch it. A
+// change that moves one of them changes the transcript and must say so.
+TEST(EngineDeterminism, GoldenTranscriptDigests) {
+  EXPECT_EQ(testing::digest(run_density_oscillation(1, false, 0.0)),
+            0xA2745FA5DDA9D6CAULL);
+  EXPECT_EQ(testing::digest(run_density_oscillation(1, false, 0.15)),
+            0x0773C8B0A22BBAFDULL);
+  EXPECT_EQ(testing::digest(testing::run_crash_loss_overflow(160, 1, true,
+                                                             nullptr)),
+            0xA0C0C2F040AE049FULL);
+  const RunFingerprint learning = run_ncc0_learning();
+  EXPECT_EQ(testing::digest(learning), 0x481798E40285B26DULL);
+  // The learning run really bounced trailered traffic and spread knowledge.
+  EXPECT_GT(learning.stats().messages_bounced, 0u);
+  EXPECT_GT(*std::max_element(learning.net.knowledge.begin(),
+                              learning.net.knowledge.end()),
+            std::size_t{8});
 }
 
 TEST(EngineDeterminism, CrashedCountIsIncrementalAndIdempotent) {

@@ -27,20 +27,7 @@ using ncc::make_msg;
 using ncc::NodeId;
 using ncc::Slot;
 
-// Same full-fidelity shape as test_engine_determinism.cpp: engine
-// fingerprint plus order-sensitive inbox/bounce checksums per node.
-struct RunFingerprint {
-  testing::NetFingerprint net;
-  std::vector<std::uint64_t> inbox_digest;
-  std::vector<std::uint64_t> bounce_digest;
-
-  const ncc::NetStats& stats() const { return net.stats; }
-
-  bool operator==(const RunFingerprint& o) const {
-    return net == o.net && inbox_digest == o.inbox_digest &&
-           bounce_digest == o.bounce_digest;
-  }
-};
+using testing::RunFingerprint;
 
 // Heavy clique flood with a 4-node hot set: every round moves ~n*cap/2
 // messages (far past the placement grain) and the hot destinations
