@@ -15,9 +15,15 @@
 # headers is budget-checked, so a newly annotated hot op joins the gate
 # automatically.
 #
+# A second hot-path call hides in libgcc: without -mpopcnt (which the build
+# deliberately does not pass), std::popcount compiles to a call to
+# __popcountdi2. The wire-record walk once did that per record, so a binary
+# that imports __popcountdi2 (`nm -u`) fails too.
+#
 #   usage: check_inline_budget.sh <binary> [<binary> ...]
 #
-# Exits non-zero if any binary defines one of those symbols.
+# Exits non-zero if any binary defines one of those symbols or imports
+# __popcountdi2.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -52,12 +58,17 @@ for bin in "$@"; do
   # be a link error. Matching the call operator '(' keeps unrelated names
   # (send_fail, send_queue) out.
   outlined=$(nm -C "$bin" 2>/dev/null | grep -E "$pattern" || true)
+  libcalls=$(nm -u "$bin" 2>/dev/null | grep -E '__popcount[sdt]i2' || true)
   if [ -n "$outlined" ]; then
     echo "FAIL: $bin has outlined hot-op symbols (inline budget lost):" >&2
     echo "$outlined" >&2
     status=1
+  elif [ -n "$libcalls" ]; then
+    echo "FAIL: $bin calls libgcc popcount (std::popcount without -mpopcnt):" >&2
+    echo "$libcalls" >&2
+    status=1
   else
-    echo "OK: $bin — hot ops ($(echo "$ops" | paste -sd' ' -)) fully inlined"
+    echo "OK: $bin — hot ops ($(echo "$ops" | paste -sd' ' -)) fully inlined, no libgcc popcount"
   fi
 done
 exit $status

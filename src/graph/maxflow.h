@@ -11,6 +11,17 @@
 // Per phase, BFS levels are stamped with an epoch counter (no O(n) clear)
 // and the BFS stops as soon as t is reached; the blocking-flow DFS is
 // iterative, so path length is not bounded by the call stack.
+//
+// Label fast path. The first query labels every vertex with its connected
+// component and its 2-edge-connected component (bridges from one iterative
+// low-link DFS, then a flood over the non-bridge edges), in O(n + m) total.
+// By Menger's theorem Conn(s, t) >= 1 iff s and t are connected, and
+// Conn(s, t) >= 2 iff no bridge separates them, i.e. they share a
+// 2-edge-connected label. So a query whose answer is decided below 3 (the
+// endpoints are disconnected or bridge-separated, or the cap is at most 2)
+// is O(1) and never runs Dinic. The DFS reuses the per-query scratch and
+// marks bridges in the residual capacities that every Dinic query refills;
+// only the two label arrays persist, 8 bytes per vertex.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +56,10 @@ class EdgeConnectivity {
                           std::numeric_limits<std::uint64_t>::max());
 
  private:
+  static constexpr std::uint32_t kNoLabel =
+      std::numeric_limits<std::uint32_t>::max();
+
+  void label();
   bool bfs(Vertex s, Vertex t);
   bool augment(Vertex s, Vertex t);
 
@@ -57,6 +72,8 @@ class EdgeConnectivity {
   std::vector<std::uint32_t> iter_;  // current-arc cursor per vertex
   std::vector<Vertex> queue_;
   std::vector<std::uint32_t> path_;  // arcs of the DFS path from s
+  std::vector<std::uint32_t> comp_;    // connected-component label
+  std::vector<std::uint32_t> two_ec_;  // 2-edge-connected-component label
   std::uint32_t epoch_ = 0;
 };
 

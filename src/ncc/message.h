@@ -5,7 +5,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 
 #include "ncc/ids.h"
@@ -111,8 +110,13 @@ inline std::uint8_t size(const std::uint64_t* rec) {
 inline std::uint8_t id_mask(const std::uint64_t* rec) {
   return static_cast<std::uint8_t>(rec[1] >> 40);
 }
+/// Popcount of a mask below 2^kMaxWords (Ctx::send rejects higher bits),
+/// read from a 16-nibble table: without -mpopcnt, std::popcount compiles to
+/// a libgcc call on every record walk.
 inline std::size_t trailer_words(std::uint8_t id_mask) {
-  return static_cast<std::size_t>(std::popcount(static_cast<unsigned>(id_mask)));
+  static_assert(kMaxWords <= 4, "the nibble table covers 4-bit masks");
+  return static_cast<std::size_t>((0x4332322132212110ULL >> (4 * id_mask)) &
+                                  15u);
 }
 /// Total 64-bit words the record occupies; `trailered` says whether this
 /// network's records carry the ID-slot trailer (learning networks do,

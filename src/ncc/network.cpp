@@ -127,12 +127,11 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
     std::iota(perm.begin(), perm.end(), 0);
     seeder.shuffle(perm);
     for (std::size_t i = 0; i < n; ++i) ids_[perm[i]] = drawn[i];
+    sorted_ids_ = std::move(drawn);  // already ascending and duplicate-free
   } else {
     for (std::size_t i = 0; i < n; ++i) ids_[i] = static_cast<NodeId>(i + 1);
+    sorted_ids_ = ids_;
   }
-
-  sorted_ids_ = ids_;
-  std::sort(sorted_ids_.begin(), sorted_ids_.end());
 
   id_map_.build(ids_);
 
@@ -141,8 +140,17 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
   std::iota(path_order_.begin(), path_order_.end(), Slot{0});
   if (cfg_.shuffle_path) seeder.shuffle(path_order_);
 
+  // NCC1 nodes know everything from the start: no table is ever built, and
+  // the path-hint and own-ID learns below are no-ops.
   know_.resize(n);
-  for (auto& k : know_) k.init(n);
+  const bool clique = cfg_.initial == InitialKnowledge::kClique;
+  for (auto& k : know_) {
+    if (clique) {
+      k.set_all();
+    } else {
+      k.init(n);
+    }
+  }
   initial_succ_.assign(n, kNoNode);
   // The path hints exist in both variants: NCC1 knowledge strictly contains
   // NCC0's, so NCC0 algorithms run unchanged on an NCC1 network (paper §2).
@@ -151,9 +159,6 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
     const Slot v = path_order_[i + 1];
     initial_succ_[u] = ids_[v];
     know_[u].learn_slot(v);
-  }
-  if (cfg_.initial == InitialKnowledge::kClique) {
-    for (auto& k : know_) k.set_all();
   }
   // Every node knows its own ID.
   for (Slot s = 0; s < n; ++s) know_[s].learn_slot(s);

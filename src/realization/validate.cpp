@@ -1,6 +1,7 @@
 #include "realization/validate.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "graph/maxflow.h"
@@ -164,8 +165,10 @@ Validation validate_connectivity_thresholds(
     std::uint64_t seed) {
   DGR_CHECK(rho.size() == net.n() && stored.size() == net.n());
   // The distinct edge set, with graph_from_stored's semantics: self-entries
-  // dropped, mirrored and duplicate entries collapsed. Packed (lo, hi) keys
-  // sort + unique far cheaper than Graph's hash-set inserts.
+  // dropped, mirrored and duplicate entries collapsed, in ascending (lo, hi)
+  // order. Packed (lo, hi) keys are counting-sorted by lo; each lo's short
+  // bucket of hi ends is then sorted and deduplicated on its own, far
+  // cheaper than a global sort or Graph's hash-set inserts.
   std::size_t entries = 0;
   for (const auto& lst : stored) entries += lst.size();
   std::vector<std::uint64_t> keys;
@@ -179,13 +182,36 @@ Validation validate_connectivity_thresholds(
                      std::max(u, v));
     }
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  DGR_CHECK(keys.size() <= std::numeric_limits<std::uint32_t>::max());
+  // start[lo + 1] counts lo's keys; the prefix sum makes it bucket offsets.
+  std::vector<std::uint32_t> start(net.n() + 1, 0);
+  for (const std::uint64_t k : keys) ++start[(k >> 32) + 1];
+  for (std::size_t v = 0; v < net.n(); ++v) start[v + 1] += start[v];
+  std::vector<graph::Vertex> hi(keys.size());
+  {
+    std::vector<std::uint32_t> pos(start.begin(), start.end() - 1);
+    for (const std::uint64_t k : keys)
+      hi[pos[k >> 32]++] = static_cast<graph::Vertex>(k);
+  }
+  keys = {};
+  // Sort + unique each bucket, compacting in place: afterwards lo's distinct
+  // hi ends are hi[start[lo], start[lo + 1]).
+  std::uint32_t out = 0;
+  for (std::size_t v = 0; v < net.n(); ++v) {
+    const std::uint32_t end = start[v + 1];
+    std::sort(hi.begin() + start[v], hi.begin() + end);
+    const std::uint32_t base = out;
+    for (std::uint32_t i = start[v]; i < end; ++i)
+      if (out == base || hi[out - 1] != hi[i]) hi[out++] = hi[i];
+    start[v] = base;
+  }
+  start[net.n()] = out;
   std::vector<std::pair<graph::Vertex, graph::Vertex>> edges;
-  edges.reserve(keys.size());
-  for (const std::uint64_t k : keys)
-    edges.emplace_back(static_cast<graph::Vertex>(k >> 32),
-                       static_cast<graph::Vertex>(k));
+  edges.reserve(out);
+  for (std::size_t v = 0; v < net.n(); ++v)
+    for (std::uint32_t i = start[v]; i < start[v + 1]; ++i)
+      edges.emplace_back(static_cast<graph::Vertex>(v), hi[i]);
+  hi = {};
 
   std::uint64_t sum_rho = 0;
   for (const auto r : rho) sum_rho += r;

@@ -1,8 +1,10 @@
 // Model-rule enforcement and determinism of the NCC engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
+#include <vector>
 
 #include "testing.h"
 #include "util/check.h"
@@ -194,13 +196,40 @@ TEST(Network, RoundBudgetGuard) {
 
 TEST(Network, Ncc1KnowsEverything) {
   auto net = testing::make_ncc1(30, 13);
-  for (Slot s = 0; s < 30; ++s)
+  for (Slot s = 0; s < 30; ++s) {
     EXPECT_EQ(net.knowledge_size(s), 30u);
+    for (Slot t = 0; t < 30; ++t)
+      EXPECT_TRUE(net.node_knows(s, net.id_of(t))) << s << " -> " << t;
+  }
   net.round([&](Ctx& ctx) {
     EXPECT_EQ(ctx.all_ids().size(), 30u);
     // Any node can message any other directly.
     ctx.send(ctx.all_ids().front(), make_msg(1));
   });
+}
+
+// Set-up takes all_ids() straight from the ID draw: it must still be the
+// ascending, duplicate-free image of id_of over every slot.
+TEST(Network, AllIdsAreTheSortedSlotIds) {
+  for (const bool random_ids : {true, false}) {
+    const std::size_t n = 40;
+    ncc::Config cfg;
+    cfg.seed = 17;
+    cfg.initial = ncc::InitialKnowledge::kClique;
+    cfg.random_ids = random_ids;
+    ncc::Network net(n, cfg);
+    std::vector<NodeId> expected;
+    for (Slot s = 0; s < n; ++s) expected.push_back(net.id_of(s));
+    std::sort(expected.begin(), expected.end());
+    std::vector<NodeId> all;
+    net.round([&](Ctx& ctx) {
+      if (ctx.slot() == 0) all.assign(ctx.all_ids().begin(), ctx.all_ids().end());
+    });
+    EXPECT_TRUE(std::is_sorted(all.begin(), all.end())) << random_ids;
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+        << random_ids;
+    EXPECT_EQ(all, expected) << random_ids;
+  }
 }
 
 TEST(Network, ScopedRoundsAttribution) {
