@@ -33,8 +33,8 @@ class Knowledge {
     all_ = false;
     dense_ = false;
     known_ = 0;
-    hot_id_ = kNoNode;
-    hot_slot_ = kNoSlot;
+    learned_ = {};
+    verified_ = {};
     tab_.assign(initial_cap(n), kEmpty);
     words_.clear();
     words_.shrink_to_fit();
@@ -88,80 +88,36 @@ class Knowledge {
     if (known_ * 2 >= tab_.size()) grow();
   }
 
-  /// Batched learn over the contiguous ID-slot trailer of one wire record
-  /// (the delivery-side learn pass runs dest-major over these). Hoists the
-  /// representation dispatch out of the per-slot loop, so the dense form is
-  /// a tight load-or-store loop over sequential trailer words — the shape
-  /// the compiler can unroll — instead of a branchy call per slot.
-  void learn_trailer(const std::uint64_t* slots, std::size_t cnt) {
-    if (all_ || cnt == 0) return;
-    if (dense_) {
-      // Unrolled 4-wide: four independent loads of the trailer words per
-      // iteration, with the read-modify-write of the bitset kept in
-      // program order (two trailer slots may land in the same bitset
-      // word, so the |= chain and the gained count must stay sequential —
-      // the unroll buys ILP on the loads and the bit math, not a
-      // reassociation).
-      std::uint64_t* const words = words_.data();
-      std::size_t gained = 0;
-      std::size_t i = 0;
-      for (; i + 4 <= cnt; i += 4) {
-        const auto s0 = static_cast<Slot>(slots[i]);
-        const auto s1 = static_cast<Slot>(slots[i + 1]);
-        const auto s2 = static_cast<Slot>(slots[i + 2]);
-        const auto s3 = static_cast<Slot>(slots[i + 3]);
-        const std::uint64_t b0 = std::uint64_t{1} << (s0 & 63);
-        const std::uint64_t b1 = std::uint64_t{1} << (s1 & 63);
-        const std::uint64_t b2 = std::uint64_t{1} << (s2 & 63);
-        const std::uint64_t b3 = std::uint64_t{1} << (s3 & 63);
-        std::uint64_t& w0 = words[s0 >> 6];
-        gained += static_cast<std::size_t>((w0 & b0) == 0);
-        w0 |= b0;
-        std::uint64_t& w1 = words[s1 >> 6];
-        gained += static_cast<std::size_t>((w1 & b1) == 0);
-        w1 |= b1;
-        std::uint64_t& w2 = words[s2 >> 6];
-        gained += static_cast<std::size_t>((w2 & b2) == 0);
-        w2 |= b2;
-        std::uint64_t& w3 = words[s3 >> 6];
-        gained += static_cast<std::size_t>((w3 & b3) == 0);
-        w3 |= b3;
-      }
-      for (; i < cnt; ++i) {
-        const auto s = static_cast<Slot>(slots[i]);
-        std::uint64_t& w = words[s >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (s & 63);
-        gained += static_cast<std::size_t>((w & bit) == 0);
-        w |= bit;
-      }
-      known_ += gained;
-      return;
-    }
-    // Sparse: learn_slot handles growth, which may promote to the dense
-    // form mid-batch — it re-dispatches per call, so that is safe.
-    for (std::size_t i = 0; i < cnt; ++i)
-      learn_slot(static_cast<Slot>(slots[i]));
-  }
-
   /// Number of distinct IDs known; n must be supplied for the NCC1 case.
   std::size_t size(std::size_t n) const { return all_ ? n : known_; }
 
-  /// One-entry positive cache over an (ID, slot) pair. Knowledge grows
-  /// monotonically and IDs are unique, so "this ID was once verified known
-  /// / once learned, and it lives in this slot" can never go stale —
-  /// callers use it to skip the NodeId -> Slot resolution plus the table
-  /// probe for the common case of the same ID being re-verified round
-  /// after round (a sort record forwarded through consecutive stages, a
-  /// broadcast value re-flooded). Mutable: it is a cache, updated from
-  /// const verification paths; each node's knowledge is only ever touched
-  /// by the worker that owns the slot (or by the single-threaded delivery
-  /// pass), so there is no race.
-  bool hot_id_is(NodeId id) const { return id == hot_id_; }
-  Slot hot_slot() const { return hot_slot_; }
-  void set_hot(NodeId id, Slot s) const {
-    hot_id_ = id;
-    hot_slot_ = s;
+  /// Dense form only: the bitset words, or nullptr while the knowledge is
+  /// sparse (or NCC1). The dense form never changes back, so a batched
+  /// learn that finds the bitset may set bits straight into it and report
+  /// the newly known count through add_known().
+  std::uint64_t* dense_words() { return dense_ ? words_.data() : nullptr; }
+  void add_known(std::size_t gained) { known_ += gained; }
+
+  /// Two-entry positive cache over (ID, slot) pairs: "last learned" (the
+  /// delivery-side learn pass stores the last ID word it taught) and "last
+  /// verified" (a send-side check that missed both entries and then found
+  /// the ID known). Knowledge grows monotonically and IDs are unique, so
+  /// "this ID was once known, and it lives in this slot" can never go stale
+  /// — callers use it to skip the NodeId -> Slot resolution plus the table
+  /// probe when the same ID is re-verified round after round. Two entries
+  /// because a sort record is either the partner's (just learned) or the
+  /// node's own (verified last stage), and one entry kept only the former.
+  /// Mutable: it is a cache, updated from const verification paths; each
+  /// node's knowledge is only ever touched by the worker that owns the slot
+  /// (or by the delivery pass task that owns the destination), so there is
+  /// no race.
+  Slot cached_slot(NodeId id) const {
+    if (id == learned_.id) return learned_.slot;
+    if (id == verified_.id) return verified_.slot;
+    return kNoSlot;
   }
+  void set_learned(NodeId id, Slot s) { learned_ = {id, s}; }
+  void set_verified(NodeId id, Slot s) const { verified_ = {id, s}; }
 
  private:
   static constexpr std::uint32_t kEmpty = 0xffffffffu;  // > any valid Slot
@@ -195,8 +151,12 @@ class Knowledge {
   bool dense_ = false;
   std::size_t known_ = 0;
   std::size_t n_ = 0;
-  mutable NodeId hot_id_ = kNoNode;   // see hot_id_is()
-  mutable Slot hot_slot_ = kNoSlot;
+  struct CachedId {
+    NodeId id = kNoNode;
+    Slot slot = kNoSlot;
+  };
+  CachedId learned_;            // see cached_slot()
+  mutable CachedId verified_;
   std::vector<std::uint32_t> tab_;    // sparse: open-addressing slot table
   std::vector<std::uint64_t> words_;  // dense: bit s => knows slot s
 };

@@ -88,6 +88,36 @@ void sorted_union_into(std::vector<Slot>& dst, const std::vector<Slot>& src,
   dst.swap(scratch);
 }
 
+/// Last ID word a learn batch taught, with its slot (id kNoNode if none).
+struct LastLearned {
+  NodeId id = kNoNode;
+  Slot slot = kNoSlot;
+};
+
+/// Walks `len` contiguous inbox records from `p`, calling learn(slot) for
+/// each record's sender and every slot in its forwarded-ID trailer.
+template <typename Learn>
+LastLearned learn_records(const std::uint64_t* p, std::uint32_t len,
+                          Learn&& learn) {
+  LastLearned last;
+  for (std::uint32_t i = 0; i < len; ++i) {
+    learn(wire::src(p));
+    const unsigned mask = wire::id_mask(p);
+    const std::size_t nw = wire::size(p);
+    std::size_t tw = 0;
+    if (mask) {
+      const std::uint64_t* tp = p + wire::kHeaderWords + nw;
+      tw = wire::trailer_words(static_cast<std::uint8_t>(mask));
+      for (std::size_t j = 0; j < tw; ++j) learn(static_cast<Slot>(tp[j]));
+      const auto w = static_cast<std::size_t>(std::bit_width(mask)) - 1;
+      last = {static_cast<NodeId>(p[wire::kHeaderWords + w]),
+              static_cast<Slot>(tp[tw - 1])};
+    }
+    p += wire::kHeaderWords + nw + tw;
+  }
+  return last;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ Network ----
@@ -700,9 +730,9 @@ void Network::deliver() {
   // order, which at large n is the difference between streaming and
   // DRAM-random learns. Knowledge updates are idempotent and commutative,
   // so the reordering cannot change any observable state. The batch runs
-  // straight over the records' contiguous ID-slot trailers
-  // (Knowledge::learn_trailer) — send-side checks resolved every forwarded
-  // ID's slot already, so the pass never touches the IdMap.
+  // straight over the records' contiguous ID-slot trailers (learn_dest) —
+  // send-side checks resolved every forwarded ID's slot already, so the
+  // pass never touches the IdMap.
   if (learning) {
     // Knowledge is per-destination state, so per-destination tasks are
     // race-free. The chunked claim keeps a skewed fan-in (one destination
@@ -851,29 +881,31 @@ void Network::draw_overflow_bitmap(Slot d, Rng& rng,
 // One destination's slice of the knowledge learn pass: walk its contiguous
 // inbox records, teaching it each sender's ID plus every ID word carried in
 // a payload trailer. Touches only know_[d], so per-destination tasks are
-// race-free.
+// race-free. A destination already in the dense (bitset) form — it never
+// changes back — takes a fast path that sets the bits directly, with no
+// per-record representation dispatch; a sparse one may be promoted part way
+// through its batch, so it keeps the re-dispatching learn_slot path.
 void Network::learn_dest(Slot d, const std::uint64_t* inbox) {
   RoundScratch& sc = *scr_;
   Knowledge& k = know_[d];
   const std::uint64_t* p = inbox + sc.inbox_lo[d];
   const std::uint32_t len = sc.inbox_len[d];
-  for (std::uint32_t i = 0; i < len; ++i) {
-    k.learn_slot(wire::src(p));
-    const unsigned mask = wire::id_mask(p);
-    const std::size_t nw = wire::size(p);
-    std::size_t tw = 0;
-    if (mask) {
-      const std::uint64_t* tp = p + wire::kHeaderWords + nw;
-      tw = wire::trailer_words(static_cast<std::uint8_t>(mask));
-      k.learn_trailer(tp, tw);
-      // Refresh the (ID, slot) hot cache with the record's last ID word
-      // — the common re-verified case is "the ID I just received".
-      const auto last = static_cast<std::size_t>(std::bit_width(mask)) - 1;
-      k.set_hot(static_cast<NodeId>(p[wire::kHeaderWords + last]),
-                static_cast<Slot>(tp[tw - 1]));
-    }
-    p += wire::kHeaderWords + nw + tw;
+  LastLearned last;
+  if (std::uint64_t* const words = k.dense_words()) {
+    std::size_t gained = 0;
+    last = learn_records(p, len, [words, &gained](Slot s) {
+      std::uint64_t& w = words[s >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+      gained += static_cast<std::size_t>((w & bit) == 0);
+      w |= bit;
+    });
+    k.add_known(gained);
+  } else {
+    last = learn_records(p, len, [&k](Slot s) { k.learn_slot(s); });
   }
+  // The last ID word taught refreshes the "last learned" cache entry — the
+  // common re-verified case is "the ID I just received".
+  if (last.id != kNoNode) k.set_learned(last.id, last.slot);
 }
 
 }  // namespace dgr::ncc

@@ -48,8 +48,10 @@
 //     records in place. An attached Trace reads its events off the same
 //     placement after the fact (a strict-mode overflow throws before any
 //     delivery events). The delivery-time learn pass runs dest-major over
-//     the records' contiguous ID-slot trailers (Knowledge::learn_trailer),
-//     never touching the IdMap;
+//     the records' contiguous ID-slot trailers, never touching the IdMap;
+//     a destination already in the dense bitset form sets its bits
+//     directly, and the last ID word taught refreshes the destination's
+//     "last learned" entry of its two-entry verified-ID cache;
 //   - placement is one loop over a destination-slot range; the delivery
 //     tail parallelizes across the executor once a round carries enough
 //     traffic (threads > 1): the placement loop runs as per-worker jobs
@@ -477,20 +479,25 @@ class Network {
   // --- Referee-side accessors (verification / test assertions only) ---
   NodeId id_of(Slot s) const { return ids_[s]; }
   Slot slot_of(NodeId id) const;
+  /// Every node's ID, ascending (NCC1 common knowledge: Ctx::all_ids).
+  /// Kept by set-up on every network, so referee-side code never re-sorts.
+  const std::vector<NodeId>& sorted_ids() const { return sorted_ids_; }
   /// Path order of Gk: path_order()[i] is the slot at path position i.
   const std::vector<Slot>& path_order() const { return path_order_; }
   /// Number of distinct IDs node `s` currently knows.
   std::size_t knowledge_size(Slot s) const { return know_[s].size(n_); }
   /// The slot of `id` if node `s` verifiably knows that ID, else kNoSlot.
-  /// One-entry (ID, slot) cache first — monotone knowledge keeps it valid
-  /// forever — then the IdMap + membership probe.
+  /// The two-entry (ID, slot) cache first (last learned, last verified —
+  /// monotone knowledge keeps both valid forever), then the IdMap +
+  /// membership probe, whose hit refreshes the "last verified" entry.
   Slot known_slot_of(Slot s, NodeId id) const {
     if (id == kNoNode) return kNoSlot;
     const Knowledge& k = know_[s];
-    if (k.hot_id_is(id)) return k.hot_slot();
+    const Slot c = k.cached_slot(id);
+    if (c != kNoSlot) return c;
     const Slot t = id_map_.find(id);
     if (t == kNoSlot || !(k.knows_all() || k.knows_slot(t))) return kNoSlot;
-    k.set_hot(id, t);
+    k.set_verified(id, t);
     return t;
   }
   bool node_knows(Slot s, NodeId id) const {
@@ -557,7 +564,7 @@ class Network {
   unsigned threads_;  // effective worker count, min(cfg.threads, n)
 
   std::vector<NodeId> ids_;               // slot -> ID
-  std::vector<NodeId> sorted_ids_;        // ascending (NCC1 common knowledge)
+  std::vector<NodeId> sorted_ids_;        // ascending; see sorted_ids()
   std::vector<Slot> path_order_;          // position -> slot
   std::vector<NodeId> initial_succ_;      // slot -> successor ID in Gk
   std::vector<Knowledge> know_;

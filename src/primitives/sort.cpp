@@ -1,3 +1,18 @@
+// Batcher odd-even merge sort and the odd-even transposition baseline over
+// the engine (contract in sort.h).
+//
+// Datapath of a Batcher stage. Algorithm 3 re-sorts every phase, so this
+// body runs once per member per stage, tens of millions of times on a
+// power-law input. The stage list is a table (batcher_stages): each entry
+// holds k % p, the mask 2k - 1, log2(2p) and the skip level log2 k, so the
+// role test is masks and shifts with no division, and the partner comes
+// straight from the skip-overlay level. The round loop hoists the stage
+// entry and the level's link arrays out of the per-node body. The
+// compare-exchange itself is branch-free: a node takes the other record
+// when it is the lower end and the other record comes first, or the upper
+// end and it does not. A node forwards either the record it kept or the one
+// it just received, so its send-side forwarded-ID check hits the
+// two-entry verified-ID cache (Knowledge::cached_slot) in both cases.
 #include "primitives/sort.h"
 
 #include <algorithm>
@@ -20,37 +35,23 @@ struct Record {
   NodeId id = kNoNode;
 };
 
-struct Stage {
-  std::uint64_t p;  // merge block size parameter
-  std::uint64_t k;  // comparator stride (power of two)
-};
-
-/// Batcher odd-even merge-sort stage list for N = 2^levels elements.
-std::vector<Stage> batcher_stages(std::uint64_t n_pow2) {
-  std::vector<Stage> stages;
-  for (std::uint64_t p = 1; p < n_pow2; p *= 2)
-    for (std::uint64_t k = p; k >= 1; k /= 2) stages.push_back({p, k});
-  return stages;
-}
-
-/// Is position x the lower end of a comparator in stage (p, k) of the
-/// power-of-two network? (Standard iterative Batcher formulation: pairs
-/// (j+i, j+i+k) with j ≡ k mod p (mod 2k), i in [0, k), constrained to a
-/// common 2p-block.)
-bool is_lower_end(std::uint64_t x, const Stage& st, std::uint64_t n_pow2) {
-  const std::uint64_t k = st.k, p = st.p;
-  if (x + k >= n_pow2) return false;
-  const std::uint64_t r = x % (2 * k);
-  const std::uint64_t j0 = k % p;
-  if (r < j0 || r >= j0 + k) return false;
-  return (x / (2 * p)) == ((x + k) / (2 * p));
-}
-
 // Defined below; shared tail of both sorting networks.
 void finish_rewire(ncc::Network& net, const PathOverlay& path,
                    const std::vector<Record>& rec, SortResult& out);
 
 }  // namespace
+
+std::vector<BatcherStage> batcher_stages(std::uint64_t n_pow2) {
+  std::vector<BatcherStage> stages;
+  for (std::uint64_t p = 1; p < n_pow2; p *= 2) {
+    for (std::uint64_t k = p; k >= 1; k /= 2) {
+      stages.push_back({k, k % p, 2 * k - 1,
+                        static_cast<unsigned>(floor_log2(2 * p)),
+                        static_cast<unsigned>(floor_log2(k))});
+    }
+  }
+  return stages;
+}
 
 SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
                             const SkipOverlay& skip,
@@ -80,32 +81,31 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
   }
 
   // `first` orders records; the lower comparator end keeps the first.
-  auto first_of = [descending](const Record& a, const Record& b) {
-    if (a.key != b.key) return descending ? a.key > b.key : a.key < b.key;
-    return a.id < b.id;
+  // Keys are compared XOR `flip`, which turns the descending order into
+  // the ascending one without a branch on the direction.
+  const std::uint64_t flip = descending ? ~std::uint64_t{0} : 0;
+  auto first_of = [flip](const Record& a, const Record& b) {
+    const std::uint64_t ka = a.key ^ flip, kb = b.key ^ flip;
+    return ka < kb || (ka == kb && a.id < b.id);
   };
 
-  const std::uint64_t n_pow2 = next_pow2(members);
-  const auto stages = batcher_stages(n_pow2);
+  const auto stages = batcher_stages(next_pow2(members));
 
   // One round per stage: ingest the previous stage's exchange, then send
   // this stage's. pending_role[s]: 0 = idle, 1 = lower end, 2 = upper end.
+  // The lower end takes the other record when it is the first, the upper
+  // end when it is not; the selection is branch-free.
   std::vector<std::uint8_t> pending_role(n, 0);
   auto ingest = [&](ncc::Ctx& ctx) {
     const Slot s = ctx.slot();
+    const std::uint8_t role = pending_role[s];
+    Record& mine = rec[s];
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != kTagSortRec) continue;
       const Record other{m.word(0), m.id_word(1)};
-      if (pending_role[s] == 1) {
-        if (first_of(other, rec[s])) rec[s] = other;
-      } else if (pending_role[s] == 2) {
-        if (first_of(other, rec[s])) {
-          // other is the "first": the upper end keeps the later record,
-          // which is its own — nothing to do.
-        } else {
-          rec[s] = other;
-        }
-      }
+      const bool take = role != 0 && ((role == 1) == first_of(other, mine));
+      mine.key = take ? other.key : mine.key;
+      mine.id = take ? other.id : mine.id;
     }
     pending_role[s] = 0;
   };
@@ -117,24 +117,19 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
   // the wave. The engine still owes us the win that matters here: inboxes,
   // counting-sort lists, and frontier bookkeeping all scale with the traffic.
   wake_members(net, path);
-  for (std::size_t si = 0; si <= stages.size(); ++si) {
+  for (const BatcherStage st : stages) {
+    const NodeId* const fwd = skip.fwd[st.level].data();
+    const NodeId* const bwd = skip.bwd[st.level].data();
     net.round_active([&](ncc::Ctx& ctx) {
       const Slot s = ctx.slot();
       if (!path.member(s)) return;
       ingest(ctx);
-      if (si == stages.size()) return;  // drain-only round
       ctx.wake();
-      const Stage st = stages[si];
-      const auto pos = static_cast<std::uint64_t>(path.pos[s]);
-      NodeId partner = kNoNode;
-      if (is_lower_end(pos, st, n_pow2) && pos + st.k < members) {
-        pending_role[s] = 1;
-        partner = skip.fwd[static_cast<std::size_t>(floor_log2(st.k))][s];
-      } else if (pos >= st.k && is_lower_end(pos - st.k, st, n_pow2)) {
-        pending_role[s] = 2;
-        partner = skip.bwd[static_cast<std::size_t>(floor_log2(st.k))][s];
-      }
-      if (pending_role[s] != 0) {
+      const std::uint8_t role =
+          batcher_role(st, static_cast<std::uint64_t>(path.pos[s]), members);
+      pending_role[s] = role;
+      if (role != 0) {
+        const NodeId partner = role == 1 ? fwd[s] : bwd[s];
         DGR_CHECK(partner != kNoNode);
         ctx.send(partner, ncc::make_msg(kTagSortRec)
                               .push(rec[s].key)
@@ -142,6 +137,9 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
       }
     });
   }
+  net.round_active([&](ncc::Ctx& ctx) {  // drain-only round
+    if (path.member(ctx.slot())) ingest(ctx);
+  });
 
   finish_rewire(net, path, rec, out);
   return out;

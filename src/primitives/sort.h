@@ -39,6 +39,42 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
                             const std::vector<std::uint64_t>& key,
                             bool descending);
 
+/// One stage of the Batcher odd-even merge-sort network over n_pow2
+/// positions, as a table entry: every quantity the per-node role test needs
+/// is precomputed, and since p and k are powers of two the test is masks
+/// and shifts (no division). Exposed for the schedule oracle test.
+struct BatcherStage {
+  std::uint64_t k = 0;     ///< comparator stride (a power of two)
+  std::uint64_t j0 = 0;    ///< k % p: lower ends sit at [j0, j0+k) mod 2k
+  std::uint64_t mask = 0;  ///< 2k - 1 (x % 2k == x & mask)
+  unsigned block_shift = 0;  ///< log2(2p): a comparator stays in a 2p block
+  unsigned level = 0;        ///< log2(k): skip-overlay level of the partner
+};
+
+/// The stage list for n_pow2 (a power of two) positions, in network order.
+std::vector<BatcherStage> batcher_stages(std::uint64_t n_pow2);
+
+/// Is x the lower end of a comparator of stage `st`? (The standard
+/// iterative formulation pairs (j+i, j+i+k) with j = k mod p (mod 2k),
+/// i in [0, k), both ends in a common 2p block.) The caller guarantees the
+/// upper end x + k exists.
+inline bool batcher_lower_end(const BatcherStage& st, std::uint64_t x) {
+  // r - j0 wraps to a huge value when r < j0, so one compare tests
+  // r in [j0, j0 + k).
+  return ((x & st.mask) - st.j0) < st.k &&
+         (x >> st.block_shift) == ((x + st.k) >> st.block_shift);
+}
+
+/// Role of position pos < members in stage `st`: 0 = idle, 1 = lower end,
+/// 2 = upper end. Comparators reaching past the last member (the virtual
+/// +inf padding) are idle.
+inline std::uint8_t batcher_role(const BatcherStage& st, std::uint64_t pos,
+                                 std::uint64_t members) {
+  if (pos + st.k < members && batcher_lower_end(st, pos)) return 1;
+  if (pos >= st.k && batcher_lower_end(st, pos - st.k)) return 2;
+  return 0;
+}
+
 /// Ablation baseline: odd-even *transposition* sort. Uses only the path
 /// neighbours (no skip links), which is the naive thing to do in NCC0 —
 /// and costs Θ(n) rounds instead of polylog. Same output contract as

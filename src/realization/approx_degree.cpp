@@ -1,7 +1,5 @@
 #include "realization/approx_degree.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace dgr::realize {
@@ -39,9 +37,7 @@ ImplicitDegreeResult realize_upper_envelope_ncc1(
 
   // Zero-round selection: v takes the d(v) IDs cyclically following its own
   // position in the common-knowledge sorted ID list.
-  std::vector<ncc::NodeId> sorted_ids(n);
-  for (ncc::Slot s = 0; s < n; ++s) sorted_ids[s] = net.id_of(s);
-  std::sort(sorted_ids.begin(), sorted_ids.end());
+  const std::vector<ncc::NodeId>& sorted_ids = net.sorted_ids();
   std::vector<std::size_t> rank_of_slot(n);
   for (std::size_t r = 0; r < n; ++r)
     rank_of_slot[net.slot_of(sorted_ids[r])] = r;

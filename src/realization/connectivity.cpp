@@ -65,10 +65,7 @@ ConnectivityResult realize_connectivity_ncc1(
   // Step 2 (zero rounds): every v != w locally picks
   // X_v = {w} ∪ {ρ(v)-1 smallest IDs != v, w}, using the common-knowledge
   // sorted ID list (Ctx::all_ids in NCC1).
-  std::vector<ncc::NodeId> sorted_ids;
-  sorted_ids.reserve(n);
-  for (ncc::Slot s = 0; s < n; ++s) sorted_ids.push_back(net.id_of(s));
-  std::sort(sorted_ids.begin(), sorted_ids.end());
+  const std::vector<ncc::NodeId>& sorted_ids = net.sorted_ids();
   for (ncc::Slot s = 0; s < n; ++s) {
     const ncc::NodeId me = net.id_of(s);
     if (me == w.id || rho[s] == 0) continue;

@@ -77,6 +77,41 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 8, 24, 48),
                        ::testing::Values<std::uint64_t>(1, 2, 3)));
 
+// Step 2 reads the common-knowledge ID list the Network keeps sorted; the
+// stored lists must equal the rule applied to a fresh sort of id_of: the
+// hub, then the ρ(v)-1 smallest IDs other than v and the hub.
+TEST(Connectivity, Ncc1StoredListsFollowTheSortedIdRule) {
+  const std::size_t n = 1000;
+  for (const bool random_ids : {true, false}) {
+    ncc::Config cfg;
+    cfg.seed = 31;
+    cfg.initial = ncc::InitialKnowledge::kClique;
+    cfg.random_ids = random_ids;
+    ncc::Network net(n, cfg);
+    Rng rng(32);
+    const auto rho = graph::zipf_thresholds(n, 16, 2.0, rng);
+    const auto result = realize_connectivity_ncc1(net, rho);
+    ASSERT_TRUE(result.realizable);
+
+    std::vector<ncc::NodeId> ids;
+    for (ncc::Slot s = 0; s < n; ++s) ids.push_back(net.id_of(s));
+    std::sort(ids.begin(), ids.end());
+    for (ncc::Slot s = 0; s < n; ++s) {
+      std::vector<ncc::NodeId> want;
+      const ncc::NodeId me = net.id_of(s);
+      if (me != result.hub && rho[s] != 0) {
+        want.push_back(result.hub);
+        for (const ncc::NodeId id : ids) {
+          if (want.size() == rho[s]) break;
+          if (id != me && id != result.hub) want.push_back(id);
+        }
+      }
+      ASSERT_EQ(result.stored[s], want) << "slot " << s << " random_ids "
+                                        << random_ids;
+    }
+  }
+}
+
 TEST(Connectivity, TieredNetworkNcc0) {
   const std::size_t n = 40;
   const auto rho = graph::tiered_thresholds(n, 4, 12, 8, 5, 2);

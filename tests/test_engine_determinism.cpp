@@ -13,7 +13,10 @@
 #include <numeric>
 #include <vector>
 
+#include "graph/generators.h"
 #include "ncc/trace.h"
+#include "realization/explicit_degree.h"
+#include "realization/implicit_degree.h"
 #include "testing.h"
 #include "util/rng.h"
 
@@ -516,6 +519,47 @@ TEST(EngineDeterminism, GoldenTranscriptDigests) {
   EXPECT_GT(*std::max_element(learning.net.knowledge.begin(),
                               learning.net.knowledge.end()),
             std::size_t{8});
+}
+
+// The NCC0 phase loop end to end: Algorithm 3 on a small power-law input
+// (hub degrees, so many phases each re-sort the path) followed by
+// make_explicit, folded into one value — rounds, messages, per-scope rounds,
+// total knowledge, and every stored edge list. The sort and learn datapaths
+// are what this run spends most of its rounds in; a change to either that
+// moves a single message moves this digest.
+std::uint64_t ncc0_phase_loop_digest() {
+  constexpr std::size_t kN = 512;
+  Rng law(0x9041a3);
+  auto degree = graph::powerlaw_sequence(kN, 64, 2.0, law);
+  Rng perm(77);
+  perm.shuffle(degree);
+  ncc::Config cfg;
+  cfg.seed = 4242;
+  ncc::Network net(kN, cfg);
+  const auto imp = realize::realize_degrees_implicit(net, degree);
+  EXPECT_TRUE(imp.realizable);
+  EXPECT_GT(imp.phases, 16u);  // many phases, each a full re-sort
+  const auto exp = realize::make_explicit(net, imp);
+  EXPECT_TRUE(exp.realizable);
+  const ncc::NetStats& st = net.stats();
+  std::uint64_t h = hash_mix(st.rounds, st.messages_sent,
+                             st.messages_delivered);
+  h = hash_mix(h, st.messages_bounced, net.total_knowledge());
+  for (const auto& [name, rounds] : st.scope_rounds) {
+    for (const char c : name) h = hash_mix(h, static_cast<unsigned char>(c));
+    h = hash_mix(h, rounds);
+  }
+  for (const auto* lists : {&imp.stored, &exp.adjacency}) {
+    for (const auto& l : *lists) {
+      h = hash_mix(h, l.size(), 2);
+      for (const NodeId v : l) h = hash_mix(h, v);
+    }
+  }
+  return h;
+}
+
+TEST(EngineDeterminism, GoldenNcc0PhaseLoopDigest) {
+  EXPECT_EQ(ncc0_phase_loop_digest(), 0x8D69FEA70B8B965CULL);
 }
 
 TEST(EngineDeterminism, CrashedCountIsIncrementalAndIdempotent) {

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "ncc/knowledge.h"
 #include "testing.h"
 #include "util/check.h"
 
@@ -230,6 +232,77 @@ TEST(Network, AllIdsAreTheSortedSlotIds) {
         << random_ids;
     EXPECT_EQ(all, expected) << random_ids;
   }
+}
+
+// The two-entry verified-ID cache: "last learned" (written by the learn
+// pass) and "last verified" (written by a send-side check that missed) are
+// separate, so a learn does not evict the verified entry. The slots set
+// here are absent from the table, so a hit can only come from the cache.
+TEST(Knowledge, TwoCacheEntriesResolveWithoutAProbe) {
+  ncc::Knowledge k;
+  k.init(64);
+  const NodeId learned = 1000, verified = 2000, later = 3000;
+  k.set_learned(learned, 5);
+  k.set_verified(verified, 9);
+  EXPECT_FALSE(k.knows_slot(5));
+  EXPECT_FALSE(k.knows_slot(9));
+  EXPECT_EQ(k.cached_slot(learned), 5u);
+  EXPECT_EQ(k.cached_slot(verified), 9u);
+  k.set_learned(later, 7);  // a new learn replaces only its own entry
+  EXPECT_EQ(k.cached_slot(later), 7u);
+  EXPECT_EQ(k.cached_slot(verified), 9u);
+  EXPECT_EQ(k.cached_slot(learned), ncc::kNoSlot);
+  // Whole 64-bit IDs are compared: sharing the low 32 bits is a miss.
+  const NodeId high = std::uint64_t{1} << 32;
+  EXPECT_EQ(k.cached_slot(later + high), ncc::kNoSlot);
+  EXPECT_EQ(k.cached_slot(verified + high), ncc::kNoSlot);
+  EXPECT_EQ(k.cached_slot(ncc::kNoNode), ncc::kNoSlot);
+  k.init(64);  // forgetting everything clears both entries
+  EXPECT_EQ(k.cached_slot(later), ncc::kNoSlot);
+  EXPECT_EQ(k.cached_slot(verified), ncc::kNoSlot);
+}
+
+// End to end on a learning network: node b learns a's ID from a delivery
+// (the "last learned" entry) and verifies c's ID by forwarding it (the
+// "last verified" entry). Both resolve to the right slots; an unknown real
+// ID, and IDs sharing the low 32 bits of either cached ID, never resolve,
+// and forwarding one still fails with the KT0 diagnostic and no trace.
+TEST(Network, VerifiedIdCacheNeverResolvesUnknownIds) {
+  auto net = testing::make_ncc0(8, 21);
+  const auto& order = net.path_order();
+  const Slot a = order[0], b = order[1], c = order[2], d = order[3];
+  const NodeId id_a = net.id_of(a), id_c = net.id_of(c), id_d = net.id_of(d);
+  net.round([&](Ctx& ctx) {
+    if (ctx.slot() == a) ctx.send(net.id_of(b), make_msg(1).push_id(id_a));
+  });
+  net.round([&](Ctx& ctx) {
+    if (ctx.slot() == b) ctx.send(id_a, make_msg(2).push_id(id_c));
+  });
+  EXPECT_EQ(net.known_slot_of(b, id_a), a);
+  EXPECT_EQ(net.known_slot_of(b, id_c), c);
+  // IDs are drawn below 16 n^2, so the aliases are no node's ID.
+  const NodeId high = std::uint64_t{1} << 32;
+  for (const NodeId stranger : {id_d, id_a + high, id_c + high}) {
+    EXPECT_EQ(net.known_slot_of(b, stranger), ncc::kNoSlot) << stranger;
+    EXPECT_FALSE(net.node_knows(b, stranger)) << stranger;
+  }
+  const std::size_t known_before = net.knowledge_size(a);
+  const std::uint64_t sent_before = net.stats().messages_sent;
+  for (const NodeId stranger : {id_d, id_a + high, id_c + high}) {
+    std::string what;
+    try {
+      net.round([&](Ctx& ctx) {
+        if (ctx.slot() == b) ctx.send(id_a, make_msg(3).push_id(stranger));
+      });
+    } catch (const CheckError& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("forwards unknown ID"), std::string::npos) << what;
+  }
+  net.round([](Ctx&) {});
+  EXPECT_EQ(net.stats().messages_sent, sent_before);
+  EXPECT_EQ(net.knowledge_size(a), known_before);
+  EXPECT_EQ(net.known_slot_of(a, id_d), ncc::kNoSlot);
 }
 
 TEST(Network, ScopedRoundsAttribution) {

@@ -73,8 +73,57 @@ TEST_P(SortSweep, RandomKeysBothDirections) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, SortSweep,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33,
-                                         64, 100, 200, 513),
+                                         64, 100, 200, 513, 1000),
                        ::testing::Values(1, 2)));
+
+// Reference Batcher schedule with the division formula the stage table
+// replaced: stage (p, k) pairs (j+i, j+i+k) with j = k mod p (mod 2k),
+// i in [0, k), both ends in a common 2p block.
+bool reference_lower_end(std::uint64_t x, std::uint64_t p, std::uint64_t k,
+                         std::uint64_t n_pow2) {
+  if (x + k >= n_pow2) return false;
+  const std::uint64_t r = x % (2 * k);
+  const std::uint64_t j0 = k % p;
+  if (r < j0 || r >= j0 + k) return false;
+  return (x / (2 * p)) == ((x + k) / (2 * p));
+}
+
+TEST(Sort, StageTableMatchesDivisionFormula) {
+  for (std::uint64_t n_pow2 = 1; n_pow2 <= 4096; n_pow2 *= 2) {
+    const auto stages = prim::batcher_stages(n_pow2);
+    std::size_t si = 0;
+    for (std::uint64_t p = 1; p < n_pow2; p *= 2) {
+      for (std::uint64_t k = p; k >= 1; k /= 2, ++si) {
+        ASSERT_LT(si, stages.size());
+        const prim::BatcherStage& st = stages[si];
+        ASSERT_EQ(st.k, k);
+        ASSERT_EQ(std::uint64_t{1} << st.level, k);
+        // Every position, with the full power-of-two membership and with a
+        // padded one (the last quarter of positions are +inf padding).
+        for (const std::uint64_t members : {n_pow2, n_pow2 - n_pow2 / 4}) {
+          for (std::uint64_t x = 0; x < members; ++x) {
+            const bool lower =
+                reference_lower_end(x, p, k, n_pow2) && x + k < members;
+            const bool upper =
+                x >= k && reference_lower_end(x - k, p, k, n_pow2);
+            ASSERT_FALSE(lower && upper);
+            const std::uint8_t want = lower ? 1 : upper ? 2 : 0;
+            ASSERT_EQ(prim::batcher_role(st, x, members), want)
+                << "n_pow2=" << n_pow2 << " p=" << p << " k=" << k
+                << " x=" << x << " members=" << members;
+          }
+        }
+        for (std::uint64_t x = 0; x + k < n_pow2; ++x) {
+          ASSERT_EQ(prim::batcher_lower_end(st, x),
+                    reference_lower_end(x, p, k, n_pow2))
+              << "n_pow2=" << n_pow2 << " p=" << p << " k=" << k
+              << " x=" << x;
+        }
+      }
+    }
+    EXPECT_EQ(si, stages.size());
+  }
+}
 
 TEST(Sort, AlreadySortedAndReversed) {
   for (const bool reversed : {false, true}) {
