@@ -2,9 +2,16 @@
 //
 // A plain-main driver (no Google Benchmark — one iteration per point is
 // the measurement) that runs each of the five realization algorithms at a
-// sweep of n up to 10^6+, records wall time, engine transcript counters
-// and the peak RSS of the run window, validates every output with the
-// referee checks, and emits a JSON report (committed as BENCH_scale.json).
+// sweep of n up to 10^6+, validates every output with the referee checks,
+// and emits a JSON report (committed as BENCH_scale.json).
+//
+// Every (algorithm, n) point runs in its own forked child
+// (dgr_bench/fork_child.h, the repository benchmark's measurement path):
+// the child reports wall time, engine transcript counters, whether the
+// output validated and any failure reason, and the entry's peak RSS is
+// that child's own ru_maxrss. Nothing an earlier point allocated can raise
+// a later point's reading, and a point that crashes or is killed becomes
+// a failed entry instead of ending the sweep.
 //
 // Instances are chosen so traffic is O(n) at every size — the regime the
 // O(traffic)-memory datapath is built for:
@@ -21,18 +28,16 @@
 //                        larger sizes are emitted as {"status":"skipped"}
 //                        entries with the reason, instead of silently
 //                        missing from the sweep
-//   --pool on|off        share one ArenaPool across every run (default on;
-//                        off re-allocates per Network, for A/B)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
-#include "ncc/arena.h"
+#include "fork_child.h"
 #include "ncc/config.h"
 #include "ncc/network.h"
 #include "occupancy.h"
@@ -42,13 +47,9 @@
 #include "realization/implicit_degree.h"
 #include "realization/tree_realization.h"
 #include "realization/validate.h"
-#include "rss.h"
 #include "util/check.h"
 
 namespace {
-
-using dgr::bench::peak_rss_bytes;
-using dgr::bench::reset_peak_rss;
 
 struct Options {
   std::vector<std::size_t> sizes{4096, 16384, 65536, 262144, 1048576};
@@ -57,7 +58,6 @@ struct Options {
   std::string json_path;  // empty = stdout
   std::uint64_t seed = 1;
   unsigned threads = 1;
-  bool pool = true;
   double rss_budget_mb = 0;  // 0 = off
   double time_budget_s = 0;  // 0 = off
 };
@@ -91,8 +91,7 @@ std::vector<std::string> split_csv(const std::string& s) {
   std::fprintf(
       stderr,
       "usage: %s [--n LIST] [--algos LIST] [--json FILE] [--seed S]\n"
-      "          [--threads T] [--pool on|off] [--rss-budget-mb M]\n"
-      "          [--time-budget-s S]\n"
+      "          [--threads T] [--rss-budget-mb M] [--time-budget-s S]\n"
       "  --n       comma-separated sizes (default "
       "4096,16384,65536,262144,1048576)\n"
       "  --algos   subset of approx,implicit,explicit,tree,connectivity\n"
@@ -121,8 +120,6 @@ Options parse(int argc, char** argv) {
       opt.seed = std::strtoull(need(i), nullptr, 10);
     } else if (a == "--threads") {
       opt.threads = static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
-    } else if (a == "--pool") {
-      opt.pool = std::string(need(i)) != "off";
     } else if (a == "--rss-budget-mb") {
       opt.rss_budget_mb = std::strtod(need(i), nullptr);
     } else if (a == "--time-budget-s") {
@@ -136,34 +133,28 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-dgr::ncc::Network make_net(std::size_t n, const Options& opt, bool clique,
-                           dgr::ncc::ArenaPool* pool) {
+dgr::ncc::Network make_net(std::size_t n, const Options& opt, bool clique) {
   dgr::ncc::Config cfg;
   cfg.seed = opt.seed;
   cfg.threads = opt.threads;
   if (clique) cfg.initial = dgr::ncc::InitialKnowledge::kClique;
-  cfg.arena_pool = pool;
   return dgr::ncc::Network(n, cfg);
 }
 
-/// One measured point: construct, realize, validate. Throws CheckError up
-/// to the caller (recorded as a failed entry, never a crash).
-Entry run_point(const std::string& algo, std::size_t n, const Options& opt,
-                dgr::ncc::ArenaPool* pool) {
+/// The body of one point, run inside the child: construct, realize,
+/// validate. Fills wall time, counters and the validation outcome; throws
+/// on an internal failure (a CheckError, or bad_alloc).
+void measure(Entry& e, const Options& opt) {
   namespace realize = dgr::realize;
-  Entry e;
-  e.algo = algo;
-  e.n = n;
-  e.status = "ok";
-
-  reset_peak_rss();
+  const std::string& algo = e.algo;
+  const std::size_t n = e.n;
   const auto t0 = std::chrono::steady_clock::now();
 
   realize::Validation v = realize::Validation::fail("unknown algorithm");
   std::uint64_t rounds = 0, messages = 0;
   if (algo == "approx") {
     const std::vector<std::uint64_t> deg(n, 4);
-    auto net = make_net(n, opt, /*clique=*/true, pool);
+    auto net = make_net(n, opt, /*clique=*/true);
     const auto r = realize::realize_upper_envelope_ncc1(net, deg);
     DGR_CHECK_MSG(r.realizable, "approx reported unrealizable");
     rounds = net.stats().rounds;
@@ -171,7 +162,7 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt,
     v = realize::validate_upper_envelope(net, deg, r.stored);
   } else if (algo == "implicit" || algo == "explicit") {
     const std::vector<std::uint64_t> deg(n, 4);
-    auto net = make_net(n, opt, /*clique=*/false, pool);
+    auto net = make_net(n, opt, /*clique=*/false);
     auto r = realize::realize_degrees_implicit(net, deg,
                                                realize::DegreeMode::kExact);
     DGR_CHECK_MSG(r.realizable, "4-regular reported unrealizable");
@@ -189,7 +180,7 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt,
     // Path degrees: the extreme caterpillar, sum = 2(n-1).
     std::vector<std::uint64_t> deg(n, 2);
     deg[0] = deg[n - 1] = 1;
-    auto net = make_net(n, opt, /*clique=*/false, pool);
+    auto net = make_net(n, opt, /*clique=*/false);
     const auto r = realize::realize_tree_caterpillar(net, deg);
     DGR_CHECK_MSG(r.realizable, "tree degrees reported unrealizable");
     rounds = net.stats().rounds;
@@ -197,7 +188,7 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt,
     v = realize::validate_tree_realization(net, deg, r.stored);
   } else if (algo == "connectivity") {
     const std::vector<std::uint64_t> rho(n, 2);
-    auto net = make_net(n, opt, /*clique=*/true, pool);
+    auto net = make_net(n, opt, /*clique=*/true);
     const auto r = realize::realize_connectivity_ncc1(net, rho);
     DGR_CHECK_MSG(r.realizable, "connectivity reported unrealizable");
     rounds = net.stats().rounds;
@@ -210,14 +201,52 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt,
 
   const auto t1 = std::chrono::steady_clock::now();
   e.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  e.peak_rss = peak_rss_bytes();
   e.rounds = rounds;
   e.messages = messages;
   e.validated = v.ok;
-  if (!v.ok) {
-    e.status = "failed";
-    e.reason = v.message;
+  if (!v.ok) e.reason = v.message;
+}
+
+/// One measured point in its own forked child. The child writes
+/// "wall_s rounds messages validated" on one line and the failure reason,
+/// if any, after it; an exception is caught there and recorded as a failed
+/// entry. A child that dies without reporting becomes a failed entry with
+/// the way it died as the reason.
+Entry run_point(const std::string& algo, std::size_t n, const Options& opt) {
+  Entry e;
+  e.algo = algo;
+  e.n = n;
+  const dgr::bench::ChildResult c =
+      dgr::bench::run_in_child([&](std::string& out) {
+        try {
+          measure(e, opt);
+        } catch (const std::exception& ex) {
+          e.reason = ex.what();
+        }
+        char line[96];
+        std::snprintf(line, sizeof line, "%.9f %llu %llu %d\n", e.wall_s,
+                      static_cast<unsigned long long>(e.rounds),
+                      static_cast<unsigned long long>(e.messages),
+                      e.validated ? 1 : 0);
+        out = line;
+        out += e.reason;
+        return e.validated;
+      });
+  e.peak_rss = static_cast<std::size_t>(c.peak_rss_mib * 1024.0 * 1024.0);
+  unsigned long long rounds = 0, messages = 0;
+  int validated = 0;
+  const std::size_t eol = c.out.find('\n');
+  if (eol != std::string::npos &&
+      std::sscanf(c.out.c_str(), "%lf %llu %llu %d", &e.wall_s, &rounds,
+                  &messages, &validated) == 4) {
+    e.rounds = rounds;
+    e.messages = messages;
+    e.validated = validated != 0;
+    e.reason = c.out.substr(eol + 1);
+  } else {
+    e.reason = c.failure.empty() ? "child reported nothing" : c.failure;
   }
+  e.status = e.validated ? "ok" : "failed";
   return e;
 }
 
@@ -236,19 +265,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-void emit(std::FILE* f, const Options& opt, const std::vector<Entry>& entries,
-          const dgr::ncc::ArenaPool::Stats& ps) {
+void emit(std::FILE* f, const Options& opt,
+          const std::vector<Entry>& entries) {
   std::fprintf(f,
                "{\n  \"generated_by\": \"bench_scale\",\n"
                "  \"seed\": %llu,\n  \"threads\": %u,\n"
-               "  \"sparse_rounds\": true,\n  \"pool\": %s,\n"
-               "  \"pool_stats\": {\"acquires\": %llu, \"reuses\": %llu, "
-               "\"dropped\": %llu},\n  \"entries\": [\n",
-               static_cast<unsigned long long>(opt.seed), opt.threads,
-               opt.pool ? "true" : "false",
-               static_cast<unsigned long long>(ps.acquires),
-               static_cast<unsigned long long>(ps.reuses),
-               static_cast<unsigned long long>(ps.dropped));
+               "  \"sparse_rounds\": true,\n  \"entries\": [\n",
+               static_cast<unsigned long long>(opt.seed), opt.threads);
   // Occupancy guard: every entry records the machine's cores and whether
   // this run's thread demand oversubscribed them, so a committed baseline
   // from a degraded run is self-describing.
@@ -283,10 +306,9 @@ void emit(std::FILE* f, const Options& opt, const std::vector<Entry>& entries,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The parent starts no threads and builds no Network: every point forks
+  // from this single-threaded process.
   const Options opt = parse(argc, argv);
-  dgr::ncc::ArenaPool pool(/*max_free=*/2);
-  dgr::ncc::ArenaPool* pool_ptr = opt.pool ? &pool : nullptr;
-
   std::vector<Entry> entries;
   bool budget_breached = false;
   bool any_failed = false;
@@ -305,18 +327,10 @@ int main(int argc, char** argv) {
         entries.push_back(std::move(e));
         continue;
       }
-      Entry e;
       const std::string label =
           "bench_scale " + algo + " n=" + std::to_string(n);
       dgr::bench::warn_if_oversubscribed(opt.threads, label.c_str());
-      try {
-        e = run_point(algo, n, opt, pool_ptr);
-      } catch (const dgr::CheckError& ex) {
-        e.algo = algo;
-        e.n = n;
-        e.status = "failed";
-        e.reason = ex.what();
-      }
+      Entry e = run_point(algo, n, opt);
       std::fprintf(stderr,
                    "bench_scale: %-12s n=%-8zu %-7s wall=%.3fs "
                    "peak_rss=%.1fMiB rounds=%llu validated=%d\n",
@@ -324,7 +338,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(e.peak_rss) / (1024.0 * 1024.0),
                    static_cast<unsigned long long>(e.rounds),
                    e.validated ? 1 : 0);
-      if (e.status == "failed" || !e.validated) any_failed = true;
+      if (e.status == "failed") any_failed = true;
       if (opt.rss_budget_mb > 0 && e.status == "ok" &&
           static_cast<double>(e.peak_rss) >
               opt.rss_budget_mb * 1024.0 * 1024.0) {
@@ -351,7 +365,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  emit(out, opt, entries, pool.stats());
+  emit(out, opt, entries);
   if (out != stdout) std::fclose(out);
 
   if (any_failed) return 1;

@@ -5,13 +5,14 @@
 #
 # Runs the raw round-engine benchmarks (bench_engine), the §3-primitives
 # benchmarks (bench_primitives), the serving-stack benchmarks
-# (bench_serve), the million-node scale trajectory (bench_scale), and the
-# thread-scaling sweep (bench_scaling) with JSON output and writes
-# BENCH_engine.json / BENCH_primitives.json / BENCH_serve.json /
-# BENCH_scale.json / BENCH_scaling.json next to this repo's README. Every
-# entry carries "cores" and "oversubscribed" fields — a baseline produced
+# (bench_serve) and the million-node scale trajectory (bench_scale) with
+# JSON output and writes BENCH_engine.json / BENCH_primitives.json /
+# BENCH_serve.json / BENCH_scale.json next to this repo's README. Thread
+# sweeps carry "cores" and "oversubscribed" fields — a baseline produced
 # on a machine with fewer cores than the requested thread count is flagged,
-# not silently wrong.
+# not silently wrong. The n = 2^20 NCC0 points (bench_scale implicit and
+# explicit, E2_DistributedSort) each need about 12 GB / 5.5 GB and tens of
+# minutes, so run this on an otherwise idle host with that much memory.
 # Future PRs that touch the engine datapath or the primitives should re-run
 # this on comparable hardware and eyeball the messages/s (engine) and
 # real_time (primitives) counters against the committed baselines — see
@@ -44,8 +45,9 @@ run_bench bench_engine BENCH_engine.json
 run_bench bench_primitives BENCH_primitives.json
 run_bench bench_serve BENCH_serve.json
 
-# bench_scale is a plain-main driver (not Google Benchmark): one run per
-# (algorithm, n) point up to 10^6 nodes, threads=1, sparse scheduler.
+# bench_scale is a plain-main driver (not Google Benchmark): one forked
+# child per (algorithm, n) point up to 10^6 nodes, threads=1, sparse
+# scheduler; each entry's peak RSS is its own child's.
 scale_bin="$build_dir/bench/bench_scale"
 if [ ! -x "$scale_bin" ]; then
   echo "error: $scale_bin not found or not executable." >&2
@@ -53,15 +55,3 @@ if [ ! -x "$scale_bin" ]; then
 fi
 "$scale_bin" --json "$repo_root/BENCH_scale.json"
 echo "wrote $repo_root/BENCH_scale.json"
-
-# bench_scaling is also plain-main: threads x {flood,sparse,overflow} x n
-# with per-phase round times, speedup, and parallel efficiency. --check
-# keeps the export honest (per-phase fields populated + transcript
-# determinism across thread counts).
-scaling_bin="$build_dir/bench/bench_scaling"
-if [ ! -x "$scaling_bin" ]; then
-  echo "error: $scaling_bin not found or not executable." >&2
-  exit 1
-fi
-"$scaling_bin" --check --json "$repo_root/BENCH_scaling.json"
-echo "wrote $repo_root/BENCH_scaling.json"

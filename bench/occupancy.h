@@ -1,6 +1,6 @@
 // Thread-occupancy guard shared by every thread-sweeping benchmark —
-// including the plain-main JSON drivers (bench_scale, bench_scaling) that
-// link without Google Benchmark, which is why this lives outside
+// including the plain-main JSON driver (bench_scale) that links without
+// Google Benchmark, which is why this lives outside
 // bench_common.h. When a sweep's worker-thread demand exceeds the
 // machine's hardware concurrency the timings are wall-clock
 // lies-in-waiting (threads time-share cores), so degrade LOUDLY: warn on

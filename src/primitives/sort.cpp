@@ -35,6 +35,77 @@ struct Record {
   NodeId id = kNoNode;
 };
 
+// The working state and compare-exchange of both sorting networks.
+// rec[s] is the (key, id) record currently held by the node at slot s; the
+// network permutes records across position-holders. pending_role[s]: 0 =
+// idle, 1 = lower end, 2 = upper end of this stage's comparator. ingest and
+// send are forced inline: they are the per-node body of every stage, and
+// an outlined call there is a call per member per stage.
+struct Exchange {
+  std::vector<Record> rec;
+  std::vector<std::uint8_t> pending_role;
+  // Keys are compared XOR `flip`, which turns the descending order into
+  // the ascending one without a branch on the direction.
+  std::uint64_t flip;
+
+  Exchange(const ncc::Network& net, const PathOverlay& path,
+           const std::vector<std::uint64_t>& key, bool descending)
+      : rec(net.n()),
+        pending_role(net.n(), 0),
+        flip(descending ? ~std::uint64_t{0} : 0) {
+    for (Slot s = 0; s < net.n(); ++s) {
+      if (path.member(s)) rec[s] = {key[s], net.id_of(s)};
+    }
+  }
+
+  // `first_of` orders records; the lower comparator end keeps the first.
+  bool first_of(const Record& a, const Record& b) const {
+    const std::uint64_t ka = a.key ^ flip, kb = b.key ^ flip;
+    return ka < kb || (ka == kb && a.id < b.id);
+  }
+
+  // Ingest the previous stage's exchange: the lower end takes the other
+  // record when it is the first, the upper end when it is not; the
+  // selection is branch-free.
+  [[gnu::always_inline]] void ingest(ncc::Ctx& ctx) {
+    const Slot s = ctx.slot();
+    const std::uint8_t role = pending_role[s];
+    Record& mine = rec[s];
+    for (const auto m : ctx.inbox_view()) {
+      if (m.tag() != kTagSortRec) continue;
+      const Record other{m.word(0), m.id_word(1)};
+      const bool take = role != 0 && ((role == 1) == first_of(other, mine));
+      mine.key = take ? other.key : mine.key;
+      mine.id = take ? other.id : mine.id;
+    }
+    pending_role[s] = 0;
+  }
+
+  // Take comparator end `role` at this stage and show the partner my record.
+  [[gnu::always_inline]] void send(ncc::Ctx& ctx, std::uint8_t role,
+                                   NodeId partner) {
+    const Slot s = ctx.slot();
+    pending_role[s] = role;
+    DGR_CHECK(partner != kNoNode);
+    ctx.send(partner,
+             ncc::make_msg(kTagSortRec).push(rec[s].key).push_id(rec[s].id));
+  }
+};
+
+// Result shell shared by both sorting networks: nothing placed yet. An
+// empty path needs no rounds beyond its (empty) skip overlay.
+SortResult empty_result(ncc::Network& net, const PathOverlay& path) {
+  const std::size_t n = net.n();
+  SortResult out;
+  out.path.pred.assign(n, kNoNode);
+  out.path.succ.assign(n, kNoNode);
+  out.path.pos.assign(n, kNoPosition);
+  out.path.is_member = path.is_member;
+  out.path.order.assign(path.order.size(), kNoSlot);
+  if (path.order.empty()) out.skip = build_skiplinks(net, out.path);
+  return out;
+}
+
 // Defined below; shared tail of both sorting networks.
 void finish_rewire(ncc::Network& net, const PathOverlay& path,
                    const std::vector<Record>& rec, SortResult& out);
@@ -58,59 +129,16 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
                             const std::vector<std::uint64_t>& key,
                             bool descending) {
   ncc::ScopedRounds scope(net, "sort");
-  const std::size_t n = net.n();
-  DGR_CHECK(key.size() == n);
+  DGR_CHECK(key.size() == net.n());
   const std::size_t members = path.order.size();
+  SortResult out = empty_result(net, path);
+  if (members == 0) return out;
 
-  SortResult out;
-  out.path.pred.assign(n, kNoNode);
-  out.path.succ.assign(n, kNoNode);
-  out.path.pos.assign(n, kNoPosition);
-  out.path.is_member = path.is_member;
-  out.path.order.assign(members, kNoSlot);
-  if (members == 0) {
-    out.skip = build_skiplinks(net, out.path);
-    return out;
-  }
-
-  // records[s] = the (key, id) record currently held by the node at slot s;
-  // the sorting network permutes records across position-holders.
-  std::vector<Record> rec(n);
-  for (Slot s = 0; s < n; ++s) {
-    if (path.member(s)) rec[s] = {key[s], net.id_of(s)};
-  }
-
-  // `first` orders records; the lower comparator end keeps the first.
-  // Keys are compared XOR `flip`, which turns the descending order into
-  // the ascending one without a branch on the direction.
-  const std::uint64_t flip = descending ? ~std::uint64_t{0} : 0;
-  auto first_of = [flip](const Record& a, const Record& b) {
-    const std::uint64_t ka = a.key ^ flip, kb = b.key ^ flip;
-    return ka < kb || (ka == kb && a.id < b.id);
-  };
-
+  Exchange ex(net, path, key, descending);
   const auto stages = batcher_stages(next_pow2(members));
 
   // One round per stage: ingest the previous stage's exchange, then send
-  // this stage's. pending_role[s]: 0 = idle, 1 = lower end, 2 = upper end.
-  // The lower end takes the other record when it is the first, the upper
-  // end when it is not; the selection is branch-free.
-  std::vector<std::uint8_t> pending_role(n, 0);
-  auto ingest = [&](ncc::Ctx& ctx) {
-    const Slot s = ctx.slot();
-    const std::uint8_t role = pending_role[s];
-    Record& mine = rec[s];
-    for (const auto m : ctx.inbox_view()) {
-      if (m.tag() != kTagSortRec) continue;
-      const Record other{m.word(0), m.id_word(1)};
-      const bool take = role != 0 && ((role == 1) == first_of(other, mine));
-      mine.key = take ? other.key : mine.key;
-      mine.id = take ? other.id : mine.id;
-    }
-    pending_role[s] = 0;
-  };
-
-  // Frontier: a Batcher stage involves nearly every position, and a node
+  // this stage's. Frontier: a Batcher stage involves nearly every position, and a node
   // idle at stage k can be a comparator end at stage k+1, so members hold
   // themselves active (self-wake) through the stage schedule — the stage
   // count is common knowledge — and release at the drain round, which ends
@@ -123,25 +151,18 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
     net.round_active([&](ncc::Ctx& ctx) {
       const Slot s = ctx.slot();
       if (!path.member(s)) return;
-      ingest(ctx);
+      ex.ingest(ctx);
       ctx.wake();
       const std::uint8_t role =
           batcher_role(st, static_cast<std::uint64_t>(path.pos[s]), members);
-      pending_role[s] = role;
-      if (role != 0) {
-        const NodeId partner = role == 1 ? fwd[s] : bwd[s];
-        DGR_CHECK(partner != kNoNode);
-        ctx.send(partner, ncc::make_msg(kTagSortRec)
-                              .push(rec[s].key)
-                              .push_id(rec[s].id));
-      }
+      if (role != 0) ex.send(ctx, role, role == 1 ? fwd[s] : bwd[s]);
     });
   }
   net.round_active([&](ncc::Ctx& ctx) {  // drain-only round
-    if (path.member(ctx.slot())) ingest(ctx);
+    if (path.member(ctx.slot())) ex.ingest(ctx);
   });
 
-  finish_rewire(net, path, rec, out);
+  finish_rewire(net, path, ex.rec, out);
   return out;
 }
 
@@ -220,71 +241,35 @@ SortResult transposition_sort(ncc::Network& net, const PathOverlay& path,
                               const std::vector<std::uint64_t>& key,
                               bool descending) {
   ncc::ScopedRounds scope(net, "sort_transposition");
-  const std::size_t n = net.n();
-  DGR_CHECK(key.size() == n);
+  DGR_CHECK(key.size() == net.n());
   const std::size_t members = path.order.size();
+  SortResult out = empty_result(net, path);
+  if (members == 0) return out;
 
-  SortResult out;
-  out.path.pred.assign(n, kNoNode);
-  out.path.succ.assign(n, kNoNode);
-  out.path.pos.assign(n, kNoPosition);
-  out.path.is_member = path.is_member;
-  out.path.order.assign(members, kNoSlot);
-  if (members == 0) {
-    out.skip = build_skiplinks(net, out.path);
-    return out;
-  }
-
-  std::vector<Record> rec(n);
-  for (Slot s = 0; s < n; ++s) {
-    if (path.member(s)) rec[s] = {key[s], net.id_of(s)};
-  }
-  auto first_of = [descending](const Record& a, const Record& b) {
-    if (a.key != b.key) return descending ? a.key > b.key : a.key < b.key;
-    return a.id < b.id;
-  };
+  Exchange ex(net, path, key, descending);
 
   // Stage t compares pairs (i, i+1) with i ≡ t (mod 2); `members` stages
-  // suffice (0-1 principle). pending_role: 1 = lower end, 2 = upper end.
-  // Frontier: as in the Batcher network, members self-wake through the
-  // (common knowledge) stage schedule and release at the drain round.
-  std::vector<std::uint8_t> pending_role(n, 0);
+  // suffice (0-1 principle). Frontier: as in the Batcher network, members
+  // self-wake through the (common knowledge) stage schedule and release at
+  // the drain round.
   wake_members(net, path);
   for (std::size_t t = 0; t <= members; ++t) {
     net.round_active([&](ncc::Ctx& ctx) {
       const Slot s = ctx.slot();
       if (!path.member(s)) return;
-      for (const auto m : ctx.inbox_view()) {
-        if (m.tag() != kTagSortRec) continue;
-        const Record other{m.word(0), m.id_word(1)};
-        const bool other_first = first_of(other, rec[s]);
-        if ((pending_role[s] == 1 && other_first) ||
-            (pending_role[s] == 2 && !other_first)) {
-          rec[s] = other;
-        }
-      }
-      pending_role[s] = 0;
+      ex.ingest(ctx);
       if (t == members) return;  // drain-only round
       ctx.wake();
       const auto pos = static_cast<std::uint64_t>(path.pos[s]);
-      NodeId partner = kNoNode;
       if (pos % 2 == t % 2 && path.succ[s] != kNoNode) {
-        pending_role[s] = 1;
-        partner = path.succ[s];
+        ex.send(ctx, 1, path.succ[s]);
       } else if (pos >= 1 && (pos - 1) % 2 == t % 2) {
-        pending_role[s] = 2;
-        partner = path.pred[s];
-      }
-      if (pending_role[s] != 0) {
-        DGR_CHECK(partner != kNoNode);
-        ctx.send(partner, ncc::make_msg(kTagSortRec)
-                              .push(rec[s].key)
-                              .push_id(rec[s].id));
+        ex.send(ctx, 2, path.pred[s]);
       }
     });
   }
 
-  finish_rewire(net, path, rec, out);
+  finish_rewire(net, path, ex.rec, out);
   return out;
 }
 

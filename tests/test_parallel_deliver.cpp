@@ -6,7 +6,8 @@
 // inbox words / ~512 oversubscribed arrivals) and pin the full observable
 // state bit-identical across thread counts {1,2,4,8}, sparse/dense
 // scheduling, traced/untraced delivery, and overflow policies — including
-// a skewed fan-in where one destination draws ~90% of all traffic. The
+// a skewed fan-in where one destination draws ~90% of all traffic, and
+// bench_engine's flood, sparse and 8-hot-destination overflow shapes. The
 // per-phase timing satellite is covered at the bottom: populated while
 // timing is on, all-zero (no clocks read) when detached.
 #include <gtest/gtest.h>
@@ -29,11 +30,17 @@ using ncc::Slot;
 
 using testing::RunFingerprint;
 
-// Heavy clique flood with a 4-node hot set: every round moves ~n*cap/2
-// messages (far past the placement grain) and the hot destinations
-// oversubscribe by an order of magnitude (past the pre-draw grain), so the
-// parallel placement AND parallel RNG-replay paths both run at threads>1.
-RunFingerprint run_flood_overflow(unsigned threads, bool traced) {
+// Clique flood shapes. kHotSet4 is the heavy flood with a 4-node hot set:
+// every round moves ~n*cap/2 messages (far past the placement grain) and
+// the hot destinations oversubscribe by an order of magnitude (past the
+// pre-draw grain), so the parallel placement AND parallel RNG-replay paths
+// both run at threads>1. The other three are bench_engine's shapes: the
+// full capacity() budget to uniform targets (about half the destinations
+// oversubscribe), one send per node, and half the budget aimed at 8 hot
+// destinations (nearly everything bounces).
+enum class Flood { kHotSet4, kUniform, kSparse, kHot8 };
+
+RunFingerprint run_flood(unsigned threads, bool traced, Flood shape) {
   constexpr std::size_t kN = 512;
   ncc::Config cfg;
   cfg.seed = 814;
@@ -46,7 +53,9 @@ RunFingerprint run_flood_overflow(unsigned threads, bool traced) {
   RunFingerprint fp;
   fp.inbox_digest.assign(kN, 0);
   fp.bounce_digest.assign(kN, 0);
-  const int sends = net.capacity() / 2;
+  const int sends = shape == Flood::kUniform  ? net.capacity()
+                    : shape == Flood::kSparse ? 1
+                                              : net.capacity() / 2;
   for (int r = 0; r < 6; ++r) {
     net.round([&](Ctx& ctx) {
       auto& in = fp.inbox_digest[ctx.slot()];
@@ -55,9 +64,13 @@ RunFingerprint run_flood_overflow(unsigned threads, bool traced) {
       for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
       const auto ids = ctx.all_ids();
       for (int i = 0; i < sends; ++i) {
-        const std::size_t pick = ctx.rng().chance(0.25)
-                                     ? ctx.rng().below(4)
-                                     : ctx.rng().below(ids.size());
+        std::size_t pick = 0;
+        if (shape == Flood::kHotSet4) {
+          pick = ctx.rng().chance(0.25) ? ctx.rng().below(4)
+                                        : ctx.rng().below(ids.size());
+        } else {
+          pick = ctx.rng().below(shape == Flood::kHot8 ? 8 : ids.size());
+        }
         ctx.send1(ids[pick], 5, ctx.rng().below(1u << 20));
       }
     });
@@ -187,17 +200,26 @@ RunFingerprint run_ring(unsigned threads, ncc::OverflowPolicy policy) {
 }
 
 TEST(ParallelDeliver, FloodOverflowTranscriptInvariant) {
-  const RunFingerprint ref = run_flood_overflow(1, /*traced=*/false);
-  // Sanity: the workload really oversubscribes (parallel pre-draw ran).
-  EXPECT_GT(ref.stats().messages_bounced, 0u);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    EXPECT_TRUE(ref == run_flood_overflow(threads, false))
-        << "threads=" << threads;
-  }
-  // Traced runs place through the same path; same story.
-  for (const unsigned threads : {1u, 4u}) {
-    EXPECT_TRUE(ref == run_flood_overflow(threads, true))
-        << "traced threads=" << threads;
+  for (const Flood shape :
+       {Flood::kHotSet4, Flood::kUniform, Flood::kSparse, Flood::kHot8}) {
+    const int k = static_cast<int>(shape);
+    const RunFingerprint ref = run_flood(1, /*traced=*/false, shape);
+    // Sanity: the flooding shapes really oversubscribe (parallel pre-draw
+    // ran); one send per node never does.
+    if (shape == Flood::kSparse) {
+      EXPECT_EQ(ref.stats().messages_bounced, 0u);
+    } else {
+      EXPECT_GT(ref.stats().messages_bounced, 0u) << "shape=" << k;
+    }
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      EXPECT_TRUE(ref == run_flood(threads, false, shape))
+          << "shape=" << k << " threads=" << threads;
+    }
+    // Traced runs place through the same path; same story.
+    for (const unsigned threads : {1u, 4u}) {
+      EXPECT_TRUE(ref == run_flood(threads, true, shape))
+          << "shape=" << k << " traced threads=" << threads;
+    }
   }
 }
 

@@ -189,14 +189,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Sort, TranspositionAgreesWithBatcher) {
   for (const std::uint64_t seed : {3u, 4u, 5u}) {
-    SortFixture fa(120, seed), fb(120, seed);
-    Rng rng(seed);
-    std::vector<std::uint64_t> key(120);
-    for (auto& k : key) k = rng.below(25);
-    const auto a = prim::distributed_sort(fa.net, fa.path, fa.skip, key, false);
-    const auto b = prim::transposition_sort(fb.net, fb.path, key, false);
-    // Same network seed => same IDs => identical sorted orders.
-    EXPECT_EQ(a.path.order, b.path.order);
+    for (const bool descending : {false, true}) {
+      SortFixture fa(120, seed), fb(120, seed);
+      Rng rng(seed);
+      std::vector<std::uint64_t> key(120);
+      for (auto& k : key) k = rng.below(25);
+      const auto a =
+          prim::distributed_sort(fa.net, fa.path, fa.skip, key, descending);
+      const auto b = prim::transposition_sort(fb.net, fb.path, key, descending);
+      // Same network seed => same IDs => identical sorted orders.
+      EXPECT_EQ(a.path.order, b.path.order)
+          << "seed=" << seed << " descending=" << descending;
+    }
   }
 }
 
