@@ -1,11 +1,10 @@
 // Shared helpers for the benchmark harness.
 //
-// Every benchmark reports simulator *round counts* as custom counters next
-// to the wall-clock time: "rounds" (measured), "bound" (the paper's
+// Benchmarks that run a primitive report simulator *round counts* as custom
+// counters next to the wall-clock time: "rounds" (measured), "bound" (the
 // closed-form bound for the instance) and "ratio" = rounds / bound. The
-// paper's claims are asymptotic, so the experiment series' shape (flat or
-// slowly-growing ratio across the sweep) is the reproduction target; see
-// EXPERIMENTS.md.
+// paper's round bounds themselves are gated by the `claims` ctest
+// (tests/test_claims.cpp); see EXPERIMENTS.md.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -19,27 +18,17 @@
 #include "ncc/config.h"
 #include "ncc/network.h"
 #include "obs/rows.h"
-#include "util/math_util.h"
 
 namespace dgr::bench {
 
 inline ncc::Network make_net(std::size_t n, std::uint64_t seed,
-                             bool clique = false, bool sparse_rounds = true) {
+                             bool sparse_rounds = true) {
   ncc::Config cfg;
   cfg.seed = seed;
-  if (clique) cfg.initial = ncc::InitialKnowledge::kClique;
   // sparse_rounds = false is the dense reference dispatch (round_active
   // runs every slot); benchmarked so the reference path can't silently rot.
   cfg.sparse_rounds = sparse_rounds;
   return ncc::Network(n, cfg);
-}
-
-/// Per-round message budget a Network of this size gets (default Config).
-inline double capacity_of(std::size_t n) {
-  const ncc::Config cfg;
-  const int lg = dgr::ceil_log2(n < 2 ? 2 : n);
-  const int cap = cfg.capacity_factor * lg;
-  return static_cast<double>(cap < cfg.min_capacity ? cfg.min_capacity : cap);
 }
 
 /// Thread-occupancy reporting: every thread-sweeping benchmark calls this

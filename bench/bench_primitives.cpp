@@ -142,7 +142,7 @@ void run_e3_aggregate(benchmark::State& state, bool sparse_rounds) {
   double rounds = 0;
   bench::reset_peak_rss();
   for (auto _ : state) {
-    auto net = bench::make_net(n, 44, /*clique=*/false, sparse_rounds);
+    auto net = bench::make_net(n, 44, sparse_rounds);
     prim::PathOverlay path = prim::undirect_initial_path(net);
     const prim::TreeOverlay tree = prim::build_bbst(net, path);
     std::vector<std::uint64_t> v(n, 1);

@@ -22,18 +22,26 @@
 //   connectivity  rho = 2 everywhere, NCC1 hub construction
 //
 // Budget flags make the same binary the CI scale-smoke gate:
-//   --rss-budget-mb M    any completed entry whose peak RSS exceeds M MiB
+//   --rss-budget-mb M    each point's child runs under an address-space
+//                        limit of M MiB plus a fixed headroom, so a point
+//                        that outgrows the budget stops there as a failed
+//                        entry instead of running to completion; it, or a
+//                        completed entry whose peak RSS exceeds M MiB,
 //                        fails the process (exit 1) after the JSON is out
+//                        and skips that algorithm's larger sizes
 //   --time-budget-s S    once an algorithm's run exceeds S seconds, its
 //                        larger sizes are emitted as {"status":"skipped"}
 //                        entries with the reason, instead of silently
 //                        missing from the sweep
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -72,6 +80,7 @@ struct Entry {
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
   bool validated = false;
+  bool over_budget = false;  // ran out of the --rss-budget-mb limit
 };
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -142,13 +151,12 @@ dgr::ncc::Network make_net(std::size_t n, const Options& opt, bool clique) {
 }
 
 /// The body of one point, run inside the child: construct, realize,
-/// validate. Fills wall time, counters and the validation outcome; throws
-/// on an internal failure (a CheckError, or bad_alloc).
+/// validate. Fills counters and the validation outcome; throws on an
+/// internal failure (a CheckError, or bad_alloc).
 void measure(Entry& e, const Options& opt) {
   namespace realize = dgr::realize;
   const std::string& algo = e.algo;
   const std::size_t n = e.n;
-  const auto t0 = std::chrono::steady_clock::now();
 
   realize::Validation v = realize::Validation::fail("unknown algorithm");
   std::uint64_t rounds = 0, messages = 0;
@@ -199,49 +207,82 @@ void measure(Entry& e, const Options& opt) {
     DGR_CHECK_MSG(false, "unknown algorithm '" << algo << "'");
   }
 
-  const auto t1 = std::chrono::steady_clock::now();
-  e.wall_s = std::chrono::duration<double>(t1 - t0).count();
   e.rounds = rounds;
   e.messages = messages;
   e.validated = v.ok;
   if (!v.ok) e.reason = v.message;
 }
 
+/// Address-space headroom above --rss-budget-mb, in MiB. Measured as
+/// VmPeak - VmHWM at the end of a point's child (glibc, x86-64, 8 MiB
+/// default thread stacks): 4 MiB at threads = 1 for all five algorithms
+/// from n = 4096 to 2^20 (the mapped binary and libraries), and 72 MiB more
+/// per executor worker (its stack plus its 64 MiB malloc arena
+/// reservation): 505 MiB at threads = 8.
+constexpr double kHeadroomBaseMiB = 16;
+constexpr double kHeadroomPerWorkerMiB = 72;
+
+double address_space_limit_mib(const Options& opt) {
+  const unsigned workers = opt.threads > 1 ? opt.threads - 1 : 0;
+  return opt.rss_budget_mb + kHeadroomBaseMiB +
+         kHeadroomPerWorkerMiB * workers;
+}
+
 /// One measured point in its own forked child. The child writes
-/// "wall_s rounds messages validated" on one line and the failure reason,
-/// if any, after it; an exception is caught there and recorded as a failed
-/// entry. A child that dies without reporting becomes a failed entry with
-/// the way it died as the reason.
+/// "wall_s rounds messages validated over_budget" on one line and the
+/// failure reason, if any, after it; an exception is caught there and
+/// recorded as a failed entry. A child that dies without reporting becomes
+/// a failed entry with the way it died as the reason.
 Entry run_point(const std::string& algo, std::size_t n, const Options& opt) {
   Entry e;
   e.algo = algo;
   e.n = n;
   const dgr::bench::ChildResult c =
       dgr::bench::run_in_child([&](std::string& out) {
+        if (opt.rss_budget_mb > 0) {
+          const auto bytes = static_cast<rlim_t>(
+              address_space_limit_mib(opt) * 1024.0 * 1024.0);
+          const struct rlimit lim{bytes, bytes};
+          const int rc = setrlimit(RLIMIT_AS, &lim);
+          DGR_CHECK_MSG(rc == 0, "setrlimit(RLIMIT_AS) failed");
+        }
+        const auto t0 = std::chrono::steady_clock::now();
         try {
           measure(e, opt);
+        } catch (const std::bad_alloc&) {
+          e.over_budget = opt.rss_budget_mb > 0;
+          char why[128];
+          std::snprintf(why, sizeof why,
+                        "rss budget: out of memory under the %.0f MiB "
+                        "budget (address-space limit %.0f MiB)",
+                        opt.rss_budget_mb, address_space_limit_mib(opt));
+          e.reason = e.over_budget ? why : "out of memory (std::bad_alloc)";
         } catch (const std::exception& ex) {
           e.reason = ex.what();
         }
+        e.wall_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
         char line[96];
-        std::snprintf(line, sizeof line, "%.9f %llu %llu %d\n", e.wall_s,
+        std::snprintf(line, sizeof line, "%.9f %llu %llu %d %d\n", e.wall_s,
                       static_cast<unsigned long long>(e.rounds),
                       static_cast<unsigned long long>(e.messages),
-                      e.validated ? 1 : 0);
+                      e.validated ? 1 : 0, e.over_budget ? 1 : 0);
         out = line;
         out += e.reason;
         return e.validated;
       });
   e.peak_rss = static_cast<std::size_t>(c.peak_rss_mib * 1024.0 * 1024.0);
   unsigned long long rounds = 0, messages = 0;
-  int validated = 0;
+  int validated = 0, over_budget = 0;
   const std::size_t eol = c.out.find('\n');
   if (eol != std::string::npos &&
-      std::sscanf(c.out.c_str(), "%lf %llu %llu %d", &e.wall_s, &rounds,
-                  &messages, &validated) == 4) {
+      std::sscanf(c.out.c_str(), "%lf %llu %llu %d %d", &e.wall_s, &rounds,
+                  &messages, &validated, &over_budget) == 5) {
     e.rounds = rounds;
     e.messages = messages;
     e.validated = validated != 0;
+    e.over_budget = over_budget != 0;
     e.reason = c.out.substr(eol + 1);
   } else {
     e.reason = c.failure.empty() ? "child reported nothing" : c.failure;
@@ -339,9 +380,13 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(e.rounds),
                    e.validated ? 1 : 0);
       if (e.status == "failed") any_failed = true;
-      if (opt.rss_budget_mb > 0 && e.status == "ok" &&
-          static_cast<double>(e.peak_rss) >
-              opt.rss_budget_mb * 1024.0 * 1024.0) {
+      if (e.over_budget) {
+        budget_breached = true;
+        skip_reason = "rss budget: n=" + std::to_string(n) +
+                      " ran out of memory under the budget";
+      } else if (opt.rss_budget_mb > 0 && e.status == "ok" &&
+                 static_cast<double>(e.peak_rss) >
+                     opt.rss_budget_mb * 1024.0 * 1024.0) {
         budget_breached = true;
         skip_reason = "rss budget: n=" + std::to_string(n) + " peaked at " +
                       std::to_string(e.peak_rss / (1024 * 1024)) +

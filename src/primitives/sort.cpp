@@ -1,5 +1,4 @@
-// Batcher odd-even merge sort and the odd-even transposition baseline over
-// the engine (contract in sort.h).
+// Batcher odd-even merge sort over the engine (contract in sort.h).
 //
 // Datapath of a Batcher stage. Algorithm 3 re-sorts every phase, so this
 // body runs once per member per stage, tens of millions of times on a
@@ -35,7 +34,7 @@ struct Record {
   NodeId id = kNoNode;
 };
 
-// The working state and compare-exchange of both sorting networks.
+// The working state and compare-exchange of the sorting network.
 // rec[s] is the (key, id) record currently held by the node at slot s; the
 // network permutes records across position-holders. pending_role[s]: 0 =
 // idle, 1 = lower end, 2 = upper end of this stage's comparator. ingest and
@@ -92,8 +91,8 @@ struct Exchange {
   }
 };
 
-// Result shell shared by both sorting networks: nothing placed yet. An
-// empty path needs no rounds beyond its (empty) skip overlay.
+// Result shell of the sort: nothing placed yet. An empty path needs no
+// rounds beyond its (empty) skip overlay.
 SortResult empty_result(ncc::Network& net, const PathOverlay& path) {
   const std::size_t n = net.n();
   SortResult out;
@@ -106,7 +105,7 @@ SortResult empty_result(ncc::Network& net, const PathOverlay& path) {
   return out;
 }
 
-// Defined below; shared tail of both sorting networks.
+// Defined below; the tail of the sort.
 void finish_rewire(ncc::Network& net, const PathOverlay& path,
                    const std::vector<Record>& rec, SortResult& out);
 
@@ -167,7 +166,7 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
 }
 
 namespace {
-// Rewiring shared by both sorting networks. R1: each holder shows its final
+// Rewiring after the network. R1: each holder shows its final
 // record to its original path neighbours. R2: each holder tells the
 // record's owner its rank and new neighbours. R3: owners ingest. Fills
 // out.path and builds the sorted skip overlay. R1 seeds the frontier with
@@ -236,41 +235,5 @@ void finish_rewire(ncc::Network& net, const PathOverlay& path,
   out.skip = build_skiplinks(net, out.path);
 }
 }  // namespace
-
-SortResult transposition_sort(ncc::Network& net, const PathOverlay& path,
-                              const std::vector<std::uint64_t>& key,
-                              bool descending) {
-  ncc::ScopedRounds scope(net, "sort_transposition");
-  DGR_CHECK(key.size() == net.n());
-  const std::size_t members = path.order.size();
-  SortResult out = empty_result(net, path);
-  if (members == 0) return out;
-
-  Exchange ex(net, path, key, descending);
-
-  // Stage t compares pairs (i, i+1) with i ≡ t (mod 2); `members` stages
-  // suffice (0-1 principle). Frontier: as in the Batcher network, members
-  // self-wake through the (common knowledge) stage schedule and release at
-  // the drain round.
-  wake_members(net, path);
-  for (std::size_t t = 0; t <= members; ++t) {
-    net.round_active([&](ncc::Ctx& ctx) {
-      const Slot s = ctx.slot();
-      if (!path.member(s)) return;
-      ex.ingest(ctx);
-      if (t == members) return;  // drain-only round
-      ctx.wake();
-      const auto pos = static_cast<std::uint64_t>(path.pos[s]);
-      if (pos % 2 == t % 2 && path.succ[s] != kNoNode) {
-        ex.send(ctx, 1, path.succ[s]);
-      } else if (pos >= 1 && (pos - 1) % 2 == t % 2) {
-        ex.send(ctx, 2, path.pred[s]);
-      }
-    });
-  }
-
-  finish_rewire(net, path, ex.rec, out);
-  return out;
-}
 
 }  // namespace dgr::prim

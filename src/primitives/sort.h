@@ -75,12 +75,4 @@ inline std::uint8_t batcher_role(const BatcherStage& st, std::uint64_t pos,
   return 0;
 }
 
-/// Ablation baseline: odd-even *transposition* sort. Uses only the path
-/// neighbours (no skip links), which is the naive thing to do in NCC0 —
-/// and costs Θ(n) rounds instead of polylog. Same output contract as
-/// distributed_sort; kept for the E2 ablation experiment.
-SortResult transposition_sort(ncc::Network& net, const PathOverlay& path,
-                              const std::vector<std::uint64_t>& key,
-                              bool descending);
-
 }  // namespace dgr::prim

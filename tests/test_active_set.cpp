@@ -6,7 +6,7 @@
 // dispatches only the active slots (Config::sparse_rounds = true, the
 // default) or every slot (false, the dense reference mode), for any worker
 // thread count. These tests pin that equivalence for every frontier-driven
-// primitive — broadcast, aggregation, argmax, both sorting networks, BBST
+// primitive — broadcast, aggregation, argmax, the Batcher sort, BBST
 // construction, range multicast, and the collection utilities — across
 // thread counts and seeds, plus the wake-set edge cases (wake with an empty
 // inbox, wake of an already-active slot, bounce-driven reactivation).
@@ -114,7 +114,6 @@ std::uint64_t wl_bbst(ncc::Network& net) {
   return acc;
 }
 
-template <bool kTransposition>
 std::uint64_t wl_sort(ncc::Network& net) {
   prim::PathOverlay path = prim::undirect_initial_path(net);
   prim::build_bbst(net, path);
@@ -124,8 +123,7 @@ std::uint64_t wl_sort(ncc::Network& net) {
   Rng rng(99);
   for (auto& k : key) k = rng.below(64);  // many ties
   const prim::SortResult res =
-      kTransposition ? prim::transposition_sort(net, path, key, false)
-                     : prim::distributed_sort(net, path, skip, key, true);
+      prim::distributed_sort(net, path, skip, key, true);
   EXPECT_TRUE(prim::validate_path(net, res.path));
   std::uint64_t acc = 1;
   for (const Slot s : res.path.order) acc = hash_mix(acc, s, key[s]);
@@ -199,10 +197,9 @@ struct Named {
   Workload fn;
 };
 const Named kWorkloads[] = {
-    {"broadcast", &wl_broadcast},       {"aggregate", &wl_aggregate},
-    {"bbst", &wl_bbst},                 {"batcher_sort", &wl_sort<false>},
-    {"transposition", &wl_sort<true>},  {"range_cast", &wl_range_cast},
-    {"collection", &wl_collection},
+    {"broadcast", &wl_broadcast},   {"aggregate", &wl_aggregate},
+    {"bbst", &wl_bbst},             {"batcher_sort", &wl_sort},
+    {"range_cast", &wl_range_cast}, {"collection", &wl_collection},
 };
 
 // The matrix: for every primitive workload and seed, the sparse run with

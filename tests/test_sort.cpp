@@ -160,50 +160,6 @@ TEST(Sort, ResortAfterSortUsesNewOverlay) {
   expect_sorted(f.net, s2.path, key2, false);
 }
 
-class TranspositionSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
-};
-
-TEST_P(TranspositionSweep, BaselineSortsCorrectlyButSlowly) {
-  const auto [n, seed] = GetParam();
-  SortFixture f(n, seed + 500);
-  Rng rng(seed * 7 + 1);
-  std::vector<std::uint64_t> key(n);
-  for (auto& k : key) k = rng.below(40);
-
-  const std::uint64_t before = f.net.stats().rounds;
-  const auto sorted = prim::transposition_sort(f.net, f.path, key, true);
-  const std::uint64_t rounds = f.net.stats().rounds - before;
-
-  expect_sorted(f.net, sorted.path, key, true);
-  EXPECT_TRUE(prim::validate_skiplinks(f.net, sorted.path, sorted.skip));
-  // Θ(n) rounds — the ablation point (distributed_sort is polylog).
-  EXPECT_GE(rounds, static_cast<std::uint64_t>(n));
-  EXPECT_LE(rounds, static_cast<std::uint64_t>(n) + 4 * ceil_log2(n) + 16);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, TranspositionSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 8, 33, 100),
-                       ::testing::Values<std::uint64_t>(1, 2)));
-
-TEST(Sort, TranspositionAgreesWithBatcher) {
-  for (const std::uint64_t seed : {3u, 4u, 5u}) {
-    for (const bool descending : {false, true}) {
-      SortFixture fa(120, seed), fb(120, seed);
-      Rng rng(seed);
-      std::vector<std::uint64_t> key(120);
-      for (auto& k : key) k = rng.below(25);
-      const auto a =
-          prim::distributed_sort(fa.net, fa.path, fa.skip, key, descending);
-      const auto b = prim::transposition_sort(fb.net, fb.path, key, descending);
-      // Same network seed => same IDs => identical sorted orders.
-      EXPECT_EQ(a.path.order, b.path.order)
-          << "seed=" << seed << " descending=" << descending;
-    }
-  }
-}
-
 TEST(Sort, SubPathSortLeavesOutsidersAlone) {
   SortFixture f(60, 7);
   // Restrict to first 25 positions of the initial path.
