@@ -1,6 +1,5 @@
-// Round-engine arenas: the per-worker outbox, the poolable bundle of every
-// round-transient buffer a Network owns (RoundScratch), and the
-// cross-Network ArenaPool.
+// Round-engine arenas: the per-worker outbox and the bundle of every
+// round-transient buffer a Network owns (RoundScratch).
 //
 // Memory contract (the million-node mode): nothing in this file grows
 // O(threads x n), and every eagerly-sized table is one of the four slim
@@ -14,24 +13,13 @@
 //     round that actually overflows a receiver — a clean huge-n
 //     realization never pays for them.
 //
-// RoundScratch + ArenaPool: all of the above is bundled so a Network can
-// borrow its round-transient state from a pool (Config::arena_pool) and
-// return it at destruction, letting wire arenas and per-phase scratch be
-// reused across the 5 realization algorithms of a Runner matrix
-// (or across serve cold runs) instead of being re-resized from scratch per
-// Network. Reuse is invisible to the simulation: every buffer here is
-// either rewritten each round or held to an explicit between-round
-// invariant (all-zero counts, length tables zero outside the touched
-// lists), and sanitize() restores those invariants at release,
-// so transcripts are bit-identical with a pool attached or not — at any
-// thread count. The pool is mutex-guarded and bounded (max_free); trim()
-// reclaims everything it retains.
+// RoundScratch bundles all of the above. Each Network owns one: it is sized
+// at construction and freed with the Network.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ncc/ids.h"
@@ -72,8 +60,6 @@ struct alignas(64) OutArena {
     return p;
   }
 
-  std::size_t footprint_bytes() const;
-
  private:
   void grow(std::size_t need);  // cold: doubles capacity
 };
@@ -92,18 +78,14 @@ struct Bounced {
   Message msg;
 };
 
-/// Every round-transient buffer of a Network, bundled so the whole set can
-/// be borrowed from an ArenaPool and returned at Network destruction. The
-/// steady-state datapath performs no allocation: buffers grow to the
-/// workload's high-water mark and stay there, and with a pool attached
-/// they survive the Network itself.
+/// Every round-transient buffer of a Network. The steady-state datapath
+/// performs no allocation: buffers grow to the workload's high-water mark
+/// and stay there until the Network is destroyed.
 ///
-/// Between-round invariants (hold on release to the pool, and therefore on
-/// acquire from it): dest_count is all-zero;
-/// inbox_len is nonzero only at slots named by inbox_dests; bounced[s] is
-/// nonempty only for slots named by bounce_srcs; every list is consumed by
-/// the round that reads it. sanitize() restores all of this in
-/// O(last round's touched sets).
+/// Between-round invariants: dest_count is all-zero; inbox_len is nonzero
+/// only at slots named by inbox_dests; bounced[s] is nonempty only for
+/// slots named by bounce_srcs; every list is consumed by the round that
+/// reads it.
 struct RoundScratch {
   // --- per-worker arenas (resized to the Network's thread count) --------
   std::vector<OutArena> outboxes;
@@ -145,77 +127,12 @@ struct RoundScratch {
   std::vector<std::vector<Bounced>> bounced;    // per source slot (lazy)
 
   /// Materialize the oversubscription cursor tables; called by the first
-  /// round that actually overflows a receiver. Grow-only no-op once
-  /// materialized.
+  /// round that actually overflows a receiver. No-op once materialized.
   void ensure_overflow(std::size_t n);
 
   /// Size the always-touched tables for an n-node, `threads`-worker
-  /// Network. Reused scratch keeps every capacity; dense tables resize
-  /// (value-initializing any new tail, which the invariants require to be
-  /// zero anyway). The lazy overflow tables are only re-extended if a
-  /// previous owner already materialized them.
+  /// Network. Called once, on a fresh bundle.
   void prepare(std::size_t n, unsigned threads);
-
-  /// Restore every between-round invariant and drop per-Network state
-  /// (wake lists) so the next owner starts clean. O(last touched sets);
-  /// capacities are retained — that is the point of pooling.
-  void sanitize();
-
-  /// Approximate retained heap footprint (capacity-based; for pool
-  /// accounting and the shrink tests).
-  std::size_t footprint_bytes() const;
-
-  /// Debug-build invariant probe: dest_count all-zero,
-  /// length tables zero outside their lists' scope.
-  bool invariants_clean() const;
-};
-
-/// A bounded, mutex-guarded pool of RoundScratch bundles. Attach one via
-/// Config::arena_pool and every Network constructed with that config
-/// borrows its round-transient buffers here instead of allocating fresh —
-/// a Runner matrix run or a serve driver reuses one warm bundle across
-/// all 5 realization algorithms. Thread-safe; the pool must outlive every
-/// Network using it.
-class ArenaPool {
- public:
-  /// `max_free` bounds how many idle bundles the pool retains; releases
-  /// beyond the bound free their scratch immediately, so pool memory is
-  /// bounded by max_free x (largest bundle), not by the number of
-  /// Networks ever run.
-  explicit ArenaPool(std::size_t max_free = 4) : max_free_(max_free) {}
-  /// Withdraws this pool's contribution to the process-wide retained-bytes
-  /// gauge (obs) along with the idle bundles themselves.
-  ~ArenaPool();
-  ArenaPool(const ArenaPool&) = delete;
-  ArenaPool& operator=(const ArenaPool&) = delete;
-
-  std::unique_ptr<RoundScratch> acquire();
-  void release(std::unique_ptr<RoundScratch> scratch);
-
-  /// Free every idle bundle now (the reclaim knob for long-lived
-  /// processes after a huge-n excursion).
-  void trim();
-
-  /// Approximate bytes held by idle bundles (capacity accounting).
-  std::size_t retained_bytes() const;
-  std::size_t free_count() const;
-
-  struct Stats {
-    std::uint64_t acquires = 0;  ///< total acquire() calls
-    std::uint64_t reuses = 0;    ///< acquires served by a pooled bundle
-    std::uint64_t dropped = 0;   ///< releases freed because the pool was full
-  };
-  Stats stats() const;
-
- private:
-  mutable std::mutex mu_;
-  std::size_t max_free_;
-  std::vector<std::unique_ptr<RoundScratch>> free_;
-  Stats stats_;
-  // Bytes this pool has exported to the shared retained-bytes gauge
-  // (guarded by mu_); kept so reuse/trim/destruction withdraw exactly what
-  // release deposited.
-  std::size_t exported_bytes_ = 0;
 };
 
 }  // namespace dgr::ncc

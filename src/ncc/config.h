@@ -6,8 +6,6 @@
 
 namespace dgr::ncc {
 
-class ArenaPool;
-
 /// What happens when more messages target a node in one round than its
 /// receive capacity allows.
 enum class OverflowPolicy {
@@ -78,17 +76,6 @@ struct Config {
   /// Draw IDs at random from a large space (true) or use 1..n in slot order
   /// (false — convenient for figures/tests).
   bool random_ids = true;
-
-  /// Optional cross-Network scratch pool (ncc/arena.h). When set, the
-  /// Network borrows its round-transient buffers — outbox arenas, the
-  /// counting-sort tables, the inbox arena, overflow scratch — from this
-  /// pool at construction and returns them at destruction, so a sequence of
-  /// Networks (a Runner matrix over all realization algorithms, a serve
-  /// driver's cold runs) reuses warm allocations instead of re-resizing
-  /// from scratch each time. Purely an allocation strategy: transcripts
-  /// are bit-identical with a pool attached or not, at any thread count.
-  /// Non-owning; the pool must outlive every Network configured with it.
-  ArenaPool* arena_pool = nullptr;
 };
 
 }  // namespace dgr::ncc

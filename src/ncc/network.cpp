@@ -193,27 +193,13 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
   // Every node knows its own ID.
   for (Slot s = 0; s < n; ++s) know_[s].learn_slot(s);
 
-  // Round-transient buffers: borrowed from the configured pool (warm from
-  // a previous Network's run — a Runner matrix reuses one bundle across
-  // all its realization algorithms) or freshly default-constructed.
-  // prepare() sizes only the slim always-touched per-destination indices
-  // (24 B/node, independent of the thread count); the per-worker outboxes
-  // grow with traffic and the overflow tables stay absent until a round
-  // actually needs them, so constructing a million-node Network costs O(n)
-  // for the model state (IDs, knowledge, RNG streams) and O(1) per worker
-  // for the datapath.
-  if (cfg_.arena_pool) {
-    pool_ = cfg_.arena_pool;
-    scr_ = pool_->acquire();
-  } else {
-    scr_ = std::make_unique<RoundScratch>();
-  }
+  // Round-transient buffers: prepare() sizes only the slim always-touched
+  // per-destination indices (24 B/node, independent of the thread count);
+  // the per-worker outboxes grow with traffic and the overflow tables stay
+  // absent until a round actually needs them, so constructing a
+  // million-node Network costs O(n) for the model state (IDs, knowledge,
+  // RNG streams) and O(1) per worker for the datapath.
   scr_->prepare(n_, threads_);
-  // Acquire-side half of the pool contract: whatever bundle we got (fresh
-  // or warm) must present the between-round invariants; release() checks
-  // the producer side, this checks the consumer side.
-  NCC_INVARIANT(scr_->invariants_clean(),
-                "RoundScratch acquired with dirty between-round state");
   worker_span_.resize(threads_);
 
   node_rng_.reserve(n);
@@ -221,12 +207,6 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
     node_rng_.push_back(Rng(hash_mix(cfg_.seed, 0x0DE5EED5ULL, s)));
 
   crashed_.assign(n, 0);
-}
-
-Network::~Network() {
-  // Return the round scratch to its pool (release() sanitizes it back to
-  // the between-round invariants); without a pool it frees with us.
-  if (pool_) pool_->release(std::move(scr_));
 }
 
 Slot Network::slot_of(NodeId id) const {

@@ -79,10 +79,8 @@
 //   - datapath memory is O(traffic), not O(threads·n): outbox arenas grow
 //     with the words sent, the per-destination counts are one shared
 //     table, and the overflow/bounce cursor tables materialize lazily on
-//     first use. The whole round-transient bundle (RoundScratch) can be
-//     borrowed from a cross-Network ArenaPool (Config::arena_pool) so
-//     consecutive simulations reuse warm arenas — an allocation strategy
-//     only; transcripts are bit-identical with reuse on or off;
+//     first use. Each Network owns its round-transient bundle
+//     (RoundScratch) and frees it on destruction;
 //   - ID -> slot resolution is O(1) (IdMap) and knowledge is a slot-indexed
 //     sparse-to-dense hybrid (Knowledge), so the send path does no hashing
 //     of std::unordered containers and no binary search; Ctx::send is
@@ -329,7 +327,6 @@ class Ctx {
 class Network {
  public:
   Network(std::size_t n, Config cfg = {});
-  ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -570,18 +567,16 @@ class Network {
   std::vector<Knowledge> know_;
   IdMap id_map_;                          // O(1) NodeId -> Slot
 
-  // Round-transient state, all flat and reused across rounds: after the
-  // first few rounds the steady-state datapath performs no allocation, and
-  // per-round cost is O(traffic + frontier) — every dense O(n) sweep has
-  // been replaced by touched/active lists that name exactly the entries to
-  // visit and re-zero. The whole bundle lives behind one indirection
-  // (RoundScratch, ncc/arena.h) so it can be borrowed from a cross-Network
-  // ArenaPool (Config::arena_pool) and returned at destruction; pooling is
-  // pure allocation strategy — every buffer is either rewritten each round
-  // or held to an explicit between-round invariant, so transcripts are
-  // bit-identical with reuse on or off.
-  std::unique_ptr<RoundScratch> scr_;
-  ArenaPool* pool_ = nullptr;  // where scr_ returns at destruction, if set
+  // Round-transient state (RoundScratch, ncc/arena.h), all flat and reused
+  // across rounds: after the first few rounds the steady-state datapath
+  // performs no allocation, and per-round cost is O(traffic + frontier) —
+  // every dense O(n) sweep has been replaced by touched/active lists that
+  // name exactly the entries to visit and re-zero. Held out of line on
+  // purpose: embedded in Network, the bundle made implicit-regular
+  // solve_s ~5% slower on a 4-vCPU host (deliver()'s counting-sort phase
+  // ~+20%), placed first or last in Network and cache-line aligned alike
+  // (A/B in EXPERIMENTS.md).
+  std::unique_ptr<RoundScratch> scr_ = std::make_unique<RoundScratch>();
   // Delivery generation; bumped every deliver() when the inbox arena is
   // repacked. Debug InboxViews stamp it to diagnose stale dereferences.
   std::uint64_t inbox_gen_ = 0;

@@ -93,11 +93,10 @@ class Counter {
 };
 
 /// Up/down gauge, held as a signed sum of sharded deltas so concurrent
-/// instances (several ArenaPools, several caches) aggregate correctly:
-/// each instance adds its deltas and subtracts them on teardown, and the
-/// gauge reads as the live total. set() is intentionally absent — a
-/// last-writer-wins store per instance would make the exported value
-/// depend on teardown order.
+/// instances (several caches) aggregate correctly: each instance adds its
+/// deltas and subtracts them on teardown, and the gauge reads as the live
+/// total. set() is intentionally absent — a last-writer-wins store per
+/// instance would make the exported value depend on teardown order.
 class Gauge {
  public:
   void add(std::int64_t d) {

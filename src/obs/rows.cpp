@@ -45,14 +45,6 @@ std::vector<Row> rows(const ncc::Executor::Stats& s) {
   return out;
 }
 
-std::vector<Row> rows(const ncc::ArenaPool::Stats& s) {
-  std::vector<Row> out;
-  push(out, "acquires", s.acquires);
-  push(out, "reuses", s.reuses);
-  push(out, "dropped", s.dropped);
-  return out;
-}
-
 std::string rows_to_json(const std::vector<Row>& rows) {
   std::string out = "{";
   bool first = true;

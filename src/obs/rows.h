@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "ncc/arena.h"
 #include "ncc/executor.h"
 #include "ncc/stats.h"
 
@@ -37,7 +36,6 @@ struct Row {
 /// entries as "scope_rounds.<name>".
 std::vector<Row> rows(const ncc::NetStats& s);
 std::vector<Row> rows(const ncc::Executor::Stats& s);
-std::vector<Row> rows(const ncc::ArenaPool::Stats& s);
 // Defined in serve/service.cpp (see header comment).
 std::vector<Row> rows(const serve::ServiceStats& s);
 std::vector<Row> rows(const serve::CacheStats& s);

@@ -3,10 +3,11 @@
 // The paper's lower bounds are information-theoretic: in NCC0 a node starts
 // knowing O(1) IDs and can learn only O(log n)-many per round (capacity ×
 // IDs-per-message), so any run whose output obliges some node to know K IDs
-// took Ω(K / log n) rounds. The simulator tracks exact knowledge sets, which
-// lets the benches report, for every instance family, the measured round
-// count next to the information bound the run itself certifies — the
-// tightness ("up to log factors") claim of §7.
+// took Ω(K / log n) rounds. The simulator tracks exact knowledge sets, so a
+// finished run certifies its own information bound; the §7 rows of the
+// claims gate (tests/test_claims.cpp) hold the measured round count to
+// that certificate from below and to the bound times lg² n from above —
+// the tightness ("up to log factors") claim of §7.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "ncc/arena.h"
 #include "ncc/executor.h"
 #include "ncc/network.h"
 #include "primitives/collection.h"
@@ -195,7 +194,6 @@ RunRecord run_one(const ScenarioSpec& spec, Algo algo, std::size_t n,
   cfg.capacity_factor = spec.capacity_factor;
   cfg.min_capacity = spec.min_capacity;
   cfg.max_rounds = spec.max_rounds;
-  cfg.arena_pool = opt.arena_pool;
   ncc::Network net(n, cfg);
 
   const CompiledSchedule sched = compile_plan(spec, n, run_seed);
@@ -337,17 +335,6 @@ MatrixReport run_matrix(std::span<const ScenarioSpec> specs,
   MatrixReport report;
   report.seed = opt.seed;
 
-  // One scratch pool for the whole matrix (unless the caller supplied
-  // one): consecutive runs — across all 5 realization algorithms and the
-  // full n sweep — reuse warm wire arenas and delivery tables instead of
-  // re-resizing per Network. Sized so every concurrent run can hold a
-  // bundle and still return it to the free list. Allocation strategy only;
-  // the report bytes are identical with or without it (tested).
-  const unsigned jobs_for_pool = std::max(1u, opt.jobs);
-  ncc::ArenaPool local_pool(jobs_for_pool);
-  RunnerOptions opt_pooled = opt;
-  if (opt_pooled.arena_pool == nullptr) opt_pooled.arena_pool = &local_pool;
-  const RunnerOptions& opt_run = opt_pooled;
 
   // Flatten the matrix into an indexed task list in declarative
   // (spec x algo x n) order. Every run's seed derives only from these
@@ -371,7 +358,7 @@ MatrixReport run_matrix(std::span<const ScenarioSpec> specs,
   std::size_t done = 0;  // guarded by progress_mu
   std::mutex progress_mu;
   auto run_task = [&](std::size_t i) {
-    results[i] = run_one(*tasks[i].spec, tasks[i].algo, tasks[i].n, opt_run);
+    results[i] = run_one(*tasks[i].spec, tasks[i].algo, tasks[i].n, opt);
     // Serialize callbacks so a stderr progress printer never interleaves
     // lines from concurrent runs. The completion count is claimed INSIDE
     // the lock: incrementing it before acquiring would let a later

@@ -35,7 +35,6 @@
 #include "scenario/telemetry.h"
 
 namespace dgr::ncc {
-class ArenaPool;
 class TelemetrySink;
 struct RoundSample;
 }  // namespace dgr::ncc
@@ -56,13 +55,6 @@ struct RunnerOptions {
   unsigned jobs = 1;
   std::vector<std::size_t> n_override;  ///< empty = spec.n_sweep
   std::vector<Algo> algos{kAllAlgos.begin(), kAllAlgos.end()};
-  /// Round-scratch pool shared by every run's Network (execution detail;
-  /// not in reports — transcripts are bit-identical with reuse on or off).
-  /// Null lets run_matrix create one internally, so a matrix sweep reuses
-  /// warm wire arenas and delivery tables across all its algorithms and
-  /// sizes by default; run_one only pools when a pool is supplied. Non-owning;
-  /// must outlive the call.
-  ncc::ArenaPool* arena_pool = nullptr;
   std::uint64_t telemetry_interval = 8;
   std::size_t telemetry_ring = 64;
   bool keep_intervals = true;  ///< include interval series in records

@@ -85,8 +85,7 @@ ServeMetrics& serve_metrics() {
 
 RealizationService::RealizationService(ServiceConfig cfg)
     : cfg_(cfg),
-      cache_(cfg.cache_capacity, cfg.cache_byte_budget),
-      pool_(std::max(1u, cfg.drivers)) {
+      cache_(cfg.cache_capacity, cfg.cache_byte_budget) {
   if (cfg_.drivers == 0) cfg_.drivers = 1;
   if (cfg_.batch_max == 0) cfg_.batch_max = 1;
   drivers_.reserve(cfg_.drivers);
@@ -206,7 +205,7 @@ void RealizationService::serve_group(std::vector<Pending>& batch,
   } else {
     try {
       result = std::make_shared<const Realization>(
-          cold_run(batch[lead].key, cfg_.net_threads, &pool_));
+          cold_run(batch[lead].key, cfg_.net_threads));
       cache_.put(batch[lead].key, result);
       if (timing) serve_metrics().cold_ns.observe(obs::mono_time_ns() - t0);
     } catch (...) {
@@ -252,15 +251,13 @@ void RealizationService::serve_group(std::vector<Pending>& batch,
 }
 
 Realization RealizationService::cold_run(const CacheKey& key,
-                                         unsigned net_threads,
-                                         ncc::ArenaPool* pool) {
+                                         unsigned net_threads) {
   const std::size_t n = key.degrees.size();
   DGR_CHECK_MSG(n >= 1, "empty degree sequence");
 
   ncc::Config cfg;
   cfg.seed = key.seed;
   cfg.threads = net_threads;
-  cfg.arena_pool = pool;
   ncc::Network net(n, cfg);
 
   const auto mode = key.mode == Mode::kExact ? realize::DegreeMode::kExact

@@ -35,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "ncc/arena.h"
 #include "serve/cache.h"
 #include "serve/request.h"
 
@@ -97,12 +96,8 @@ class RealizationService {
 
   /// The deterministic cold path, exposed for tests and benches: run one
   /// Network for the canonical request and validate the outcome. Pure
-  /// function of (key); net_threads and pool are transcript-neutral. A
-  /// non-null pool recycles the Network's round scratch (wire arenas,
-  /// delivery tables) across runs — the service passes its own pool so
-  /// back-to-back cold runs on a driver stop re-faulting warm buffers.
-  static Realization cold_run(const CacheKey& key, unsigned net_threads,
-                              ncc::ArenaPool* pool = nullptr);
+  /// function of (key); net_threads is transcript-neutral.
+  static Realization cold_run(const CacheKey& key, unsigned net_threads);
 
  private:
   struct Pending {
@@ -118,7 +113,6 @@ class RealizationService {
 
   ServiceConfig cfg_;
   ResultCache cache_;
-  ncc::ArenaPool pool_;  // round-scratch reuse across driver cold runs
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;   // queue became non-empty / stopping

@@ -8,18 +8,13 @@
 //   capacity rules, where silently continuing would invalidate a
 //   simulation, and user input validation belongs here too.
 //
-//   NCC_ASSERT / NCC_ASSERT_MSG / NCC_INVARIANT — internal debug
-//   contracts: executor claim accounting, RoundScratch between-round
-//   cleanliness. Compiled out entirely in
-//   Release builds (NDEBUG): the condition expression is NOT evaluated,
-//   so an invariant probe may be arbitrarily expensive (a full-table
+//   NCC_ASSERT / NCC_ASSERT_MSG — internal debug contracts (executor
+//   claim accounting, stale InboxView dereferences). Compiled out
+//   entirely in Release builds (NDEBUG): the condition expression is NOT
+//   evaluated, so a probe may be arbitrarily expensive (a full-table
 //   walk) without taxing production rounds. Use them for conditions that
 //   are provably true unless the engine itself has a bug — never for
 //   conditions a caller could trigger.
-//
-// NCC_INVARIANT is NCC_ASSERT_MSG under a name that marks data-structure
-// invariant probes (the msg should say which invariant and who restores
-// it); the distinction is documentation, not mechanics.
 #pragma once
 
 #include <sstream>
@@ -71,15 +66,11 @@ namespace detail {
 #ifndef NDEBUG
 #define NCC_ASSERT(expr) DGR_CHECK(expr)
 #define NCC_ASSERT_MSG(expr, msg) DGR_CHECK_MSG(expr, msg)
-#define NCC_INVARIANT(expr, msg) DGR_CHECK_MSG(expr, msg)
 #else
 #define NCC_ASSERT(expr) \
   do {                   \
   } while (false)
 #define NCC_ASSERT_MSG(expr, msg) \
   do {                            \
-  } while (false)
-#define NCC_INVARIANT(expr, msg) \
-  do {                           \
   } while (false)
 #endif

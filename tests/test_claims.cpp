@@ -11,11 +11,11 @@
 //     climbs across the sweep is growth the bound does not allow.
 // Algorithm 3 rows also hold phases to Lemma 10's bound. The §7 rows run the
 // matching upper-bound algorithm on a Theorem 19/20 family: their bound is
-// the closed-form information bound times lg² n, so C is the polylog
-// tightness claim, and every point must take at least the information
-// bound the finished run itself certifies (knowledge_round_lower_bound).
-// At these sizes the closed forms round up to one round (√m, Δ < 5·c_n),
-// so those rows carry no growth claim.
+// the un-rounded information bound K/(5·c_n) times lg² n (K = Δ or √m IDs
+// some node must learn, 5 IDs per message), so C is the polylog tightness
+// claim and G says the gap stays flat as K grows 16x. Every point must
+// also take at least the information bound the finished run itself
+// certifies (knowledge_round_lower_bound).
 //
 // Calibration: C is the row's largest measured ratio plus at least 20%
 // headroom. G is 1.25, except where an additive term of the bound is loose
@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <string>
@@ -172,13 +173,20 @@ std::uint64_t range_cast_rounds(
   return f.net.stats().rounds - before;
 }
 
-/// A §7 point: rounds against the closed-form information bound (at least
-/// one round) times lg² n, and the bound the finished run itself certifies.
+/// A §7 point: rounds against the information bound K/(c_n · IDs per
+/// message) times lg² n, and the bound the finished run itself certifies.
+/// K is the ID count some node must learn (Δ or √m). The bound is kept
+/// un-rounded: realize::explicit_info_bound and sqrt_m_info_bound round up
+/// to whole rounds, which is 1 for every K < 5·c_n, and a ratio against
+/// that constant could only cap rounds, not show the gap's shape.
 Point information_point(const ncc::Network& net, std::uint64_t rounds,
-                        std::uint64_t info) {
+                        double ids_to_learn) {
+  const double intake =
+      static_cast<double>(net.capacity()) *
+      static_cast<double>(realize::ids_per_message());
   const double l = lg(net.n());
-  return {rounds, static_cast<double>(std::max<std::uint64_t>(info, 1)) * l * l,
-          0, 0, realize::knowledge_round_lower_bound(net)};
+  return {rounds, ids_to_learn / intake * l * l, 0, 0,
+          realize::knowledge_round_lower_bound(net)};
 }
 
 const Row kRows[] = {
@@ -311,33 +319,31 @@ const Row kRows[] = {
                     static_cast<double>(rho) / f.net.capacity() + lg(n)};
      }},
     // ---- §7 lower bounds, Theorems 19 and 20 (n = 1024) ----
-    {"lower_sqrt_m_star_heavy", "⌈√m/(5c_n)⌉·lg²n", {256, 1024, 4096}, 160, 0,
+    {"lower_sqrt_m_star_heavy", "√m/(5c_n)·lg²n", {256, 1024, 4096}, 490, 1.25,
      [](std::uint64_t m) {
        auto net = testing::make_ncc0(1024, 95);
        const auto r = realize::realize_degrees_implicit(
            net, graph::star_heavy_sequence(net.n(), m));
        EXPECT_TRUE(r.realizable);
-       return information_point(
-           net, r.rounds, realize::sqrt_m_info_bound(m, net.capacity()));
+       return information_point(net, r.rounds,
+                                std::sqrt(static_cast<double>(m)));
      }},
-    {"lower_delta_implicit", "⌈Δ/(5c_n)⌉·lg²n", {4, 16, 64}, 210, 0,
+    {"lower_delta_implicit", "Δ/(5c_n)·lg²n", {4, 16, 64}, 650, 1.25,
      [](std::uint64_t delta) {
        auto net = testing::make_ncc0(1024, 96);
        const auto r = realize::realize_degrees_implicit(
            net, graph::regular_sequence(net.n(), delta));
        EXPECT_TRUE(r.realizable);
-       return information_point(
-           net, r.rounds, realize::explicit_info_bound(delta, net.capacity()));
+       return information_point(net, r.rounds, static_cast<double>(delta));
      }},
-    {"lower_delta_explicit", "⌈Δ/(5c_n)⌉·lg²n", {4, 16, 64}, 210, 0,
+    {"lower_delta_explicit", "Δ/(5c_n)·lg²n", {4, 16, 64}, 650, 1.25,
      [](std::uint64_t delta) {
        auto net = testing::make_ncc0(1024, 97);
        const auto r = realize::realize_degrees_explicit(
            net, graph::regular_sequence(net.n(), delta));
        EXPECT_TRUE(r.realizable);
-       return information_point(
-           net, r.implicit_rounds + r.explicit_rounds,
-           realize::explicit_info_bound(delta, net.capacity()));
+       return information_point(net, r.implicit_rounds + r.explicit_rounds,
+                                static_cast<double>(delta));
      }},
 };
 

@@ -509,9 +509,22 @@ TEST(EngineDeterminism, GoldenTranscriptDigests) {
             0xA2745FA5DDA9D6CAULL);
   EXPECT_EQ(testing::digest(run_density_oscillation(1, false, 0.15)),
             0x0773C8B0A22BBAFDULL);
-  EXPECT_EQ(testing::digest(testing::run_crash_loss_overflow(160, 1, true,
-                                                             nullptr)),
-            0xA0C0C2F040AE049FULL);
+  // Every deliver() branch (bounce, loss, crash, dense/sparse sweeps) must
+  // produce the same transcript at any thread count, under either
+  // scheduler, traced or not.
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    for (const bool sparse : {true, false}) {
+      for (const bool traced : {false, true}) {
+        const RunFingerprint fp =
+            testing::run_crash_loss_overflow(160, threads, sparse, traced);
+        EXPECT_EQ(testing::digest(fp), 0xA0C0C2F040AE049FULL)
+            << "threads=" << threads << " sparse=" << sparse
+            << " traced=" << traced;
+        EXPECT_GT(fp.stats().messages_bounced, 0u);
+        EXPECT_GT(fp.stats().messages_dropped, 0u);
+      }
+    }
+  }
   const RunFingerprint learning = run_ncc0_learning();
   EXPECT_EQ(testing::digest(learning), 0x481798E40285B26DULL);
   // The learning run really bounced trailered traffic and spread knowledge.

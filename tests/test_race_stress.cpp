@@ -4,8 +4,7 @@
 // once here: two Networks (a dense hot-spot flood that overflows receivers
 // — exercising the parallel placement, learn, and overflow pre-draw tails —
 // and a sparse active-set wave), a RealizationService running cold
-// simulations on driver threads, a shared ArenaPool recycling RoundScratch
-// bundles between the racing Networks, and a raw executor client hammering
+// simulations on driver threads, and a raw executor client hammering
 // parallel_for. Many small rounds maximize the cross-client interleavings
 // per second of test time.
 //
@@ -13,7 +12,7 @@
 // every client's transcript fingerprint must be bit-identical to a solo
 // serial run. Under -DDGR_TSAN=ON this is also the dynamic-race gate CI
 // runs at threads {2,4} — any unsynchronized access in the executor, the
-// delivery tail, the pool, or the serve pipeline fires a TSan report even
+// delivery tail, or the serve pipeline fires a TSan report even
 // when the fingerprints happen to match.
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "ncc/arena.h"
 #include "ncc/executor.h"
 #include "ncc/network.h"
 #include "serve/request.h"
@@ -40,14 +38,12 @@ constexpr std::size_t kHot = 4;  // fan-in hot spots (forced overflow)
 /// between kHot fixed destinations (driving them far past capacity — the
 /// overflow pre-draw and bounce paths stay busy) and uniformly random
 /// targets. Runs with bounce overflow so rounds never throw.
-testing::NetFingerprint run_flood(unsigned threads, std::uint64_t seed,
-                                  ncc::ArenaPool* pool) {
+testing::NetFingerprint run_flood(unsigned threads, std::uint64_t seed) {
   ncc::Config cfg;
   cfg.seed = seed;
   cfg.threads = threads;
   cfg.initial = ncc::InitialKnowledge::kClique;
   cfg.overflow = ncc::OverflowPolicy::kBounce;
-  cfg.arena_pool = pool;
   ncc::Network net(kN, cfg);
   const auto burst = static_cast<std::size_t>(net.capacity()) - 2;
   for (int r = 0; r < kRounds; ++r) {
@@ -69,13 +65,11 @@ testing::NetFingerprint run_flood(unsigned threads, std::uint64_t seed,
 
 /// Sparse active-set wave (inactive-silent body): the other scheduler, so
 /// the race also covers frontier bookkeeping and sparse dispatch.
-testing::NetFingerprint run_wave(unsigned threads, std::uint64_t seed,
-                                 ncc::ArenaPool* pool) {
+testing::NetFingerprint run_wave(unsigned threads, std::uint64_t seed) {
   ncc::Config cfg;
   cfg.seed = seed;
   cfg.threads = threads;
   cfg.initial = ncc::InitialKnowledge::kClique;
-  cfg.arena_pool = pool;
   ncc::Network net(kN, cfg);
   net.wake(5);
   for (int r = 0; r < kRounds && net.has_active(); ++r) {
@@ -118,22 +112,19 @@ std::size_t run_serve_wave() {
   return validated;
 }
 
-TEST(RaceStress, NetworksServeAndPoolOnSharedExecutor) {
+TEST(RaceStress, NetworksAndServeOnSharedExecutor) {
   // Solo serial references (threads=1 never touches the executor).
-  const auto ref_flood = run_flood(1, 101, nullptr);
-  const auto ref_wave = run_wave(1, 202, nullptr);
+  const auto ref_flood = run_flood(1, 101);
+  const auto ref_wave = run_wave(1, 202);
   ASSERT_EQ(run_serve_wave(), 12u);
 
   for (const unsigned threads : {2u, 4u}) {
-    // One pool shared by BOTH racing Networks: acquire/release and the
-    // sanitize-on-release sweep race each other and the serve drivers.
-    ncc::ArenaPool pool(4);
     testing::NetFingerprint flood_fp, wave_fp;
     std::size_t served = 0;
     std::uint64_t hammered = 0;
 
-    std::thread t_flood([&] { flood_fp = run_flood(threads, 101, &pool); });
-    std::thread t_wave([&] { wave_fp = run_wave(threads, 202, &pool); });
+    std::thread t_flood([&] { flood_fp = run_flood(threads, 101); });
+    std::thread t_wave([&] { wave_fp = run_wave(threads, 202); });
     std::thread t_serve([&] { served = run_serve_wave(); });
     std::thread t_hammer([&] {
       // A raw executor client keeps the worker pool saturated with alien
@@ -158,11 +149,6 @@ TEST(RaceStress, NetworksServeAndPoolOnSharedExecutor) {
         << "wave transcript changed under contention, threads=" << threads;
     EXPECT_EQ(served, 12u) << "serve wave lost answers, threads=" << threads;
     EXPECT_EQ(hammered, 40u * 85344u);  // 40 * sum(i^2, i<64)
-    // The racing Networks returned their bundles; the pool must have
-    // retained at most its bound and every bundle must be clean (the
-    // release-side NCC_INVARIANT would have thrown otherwise).
-    EXPECT_LE(pool.free_count(), 4u);
-    EXPECT_GE(pool.stats().acquires, 2u);
   }
 }
 

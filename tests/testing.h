@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "ncc/arena.h"
 #include "ncc/config.h"
 #include "ncc/network.h"
 #include "ncc/trace.h"
@@ -83,10 +82,9 @@ inline std::uint64_t digest(const RunFingerprint& fp) {
 /// Every deliver() branch in one clique workload: hot-set oversubscription
 /// (bounce), 15% link loss, two mid-run crashes, and flood/trickle
 /// oscillation so the touched-destination density crosses the dense-sweep
-/// threshold in both directions. `pool` may be null (fresh scratch).
+/// threshold in both directions.
 inline RunFingerprint run_crash_loss_overflow(std::size_t n, unsigned threads,
                                               bool sparse,
-                                              ncc::ArenaPool* pool,
                                               bool traced = false) {
   ncc::Config cfg;
   cfg.seed = 909;
@@ -94,7 +92,6 @@ inline RunFingerprint run_crash_loss_overflow(std::size_t n, unsigned threads,
   cfg.threads = threads;
   cfg.sparse_rounds = sparse;
   cfg.drop_probability = 0.15;
-  cfg.arena_pool = pool;
   ncc::Network net(n, cfg);
   ncc::Trace trace;
   if (traced) net.set_trace(&trace);
