@@ -165,26 +165,25 @@ void BM_EngineFloodTimed(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(ph.learn) * kNs);
 }
 
-// Flood via the wire-level one-word fast path (Ctx::send1): identical
-// traffic and transcript to BM_EngineFlood, but no 48-byte Message
-// aggregate is built per send. The pair is the A/B for the fast path —
-// see "One-word send fast path" in EXPERIMENTS.md.
-void BM_EngineFlood1Word(benchmark::State& state) {
+// Flood addressed by NodeRef handle: identical traffic and transcript to
+// BM_EngineFlood, but no NodeId -> Slot lookup per send. The pair is the
+// A/B for handle addressing — see "NodeRef handles" in EXPERIMENTS.md.
+void BM_EngineFloodRef(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ncc::Network net(n, engine_cfg(static_cast<unsigned>(state.range(1))));
   const auto cap = static_cast<std::size_t>(net.capacity());
-  std::vector<ncc::NodeId> targets(n * cap);
+  std::vector<ncc::NodeRef> targets(n * cap);
   {
     Rng tr(99);
-    for (auto& t : targets) t = net.id_of(static_cast<ncc::Slot>(tr.below(n)));
+    for (auto& t : targets) t = net.ref_of(static_cast<ncc::Slot>(tr.below(n)));
   }
   const std::uint64_t rounds0 = net.stats().rounds;
   const std::uint64_t msgs0 = net.stats().messages_sent;
   for (auto _ : state) {
     net.round([&](ncc::Ctx& ctx) {
-      const ncc::NodeId* t = targets.data() + ctx.slot() * cap;
+      const ncc::NodeRef* t = targets.data() + ctx.slot() * cap;
       for (std::size_t i = 0; i < cap; ++i) {
-        ctx.send1(t[i], 7, static_cast<std::uint64_t>(i));
+        ctx.send(t[i], ncc::make_msg(7).push(static_cast<std::uint64_t>(i)));
       }
     });
   }
@@ -268,7 +267,7 @@ void EngineArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_EngineFlood)->Apply(EngineArgs)->UseRealTime();
 BENCHMARK(BM_EngineFloodObs)->Apply(EngineArgs)->UseRealTime();
 BENCHMARK(BM_EngineFloodTimed)->Apply(EngineArgs)->UseRealTime();
-BENCHMARK(BM_EngineFlood1Word)->Apply(EngineArgs)->UseRealTime();
+BENCHMARK(BM_EngineFloodRef)->Apply(EngineArgs)->UseRealTime();
 BENCHMARK(BM_EngineFloodScan)->Apply(EngineArgs)->UseRealTime();
 BENCHMARK(BM_EngineSparse)->Apply(EngineArgs)->UseRealTime();
 BENCHMARK(BM_EngineOverflow)->Apply(EngineArgs)->UseRealTime();

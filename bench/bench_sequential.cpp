@@ -86,7 +86,7 @@ void E13_SimulatorRoundThroughput(benchmark::State& state) {
   for (auto _ : state) {
     net.round([](ncc::Ctx& ctx) {
       const auto s = ctx.initial_successor();
-      if (s != ncc::kNoNode) ctx.send(s, ncc::make_msg(1));
+      if (s) ctx.send(s, ncc::make_msg(1));
     });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

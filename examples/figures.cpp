@@ -8,6 +8,8 @@
 // construction) and the balanced binary *search* tree produced by the
 // controlled BFS (Algorithm 1) — its inorder traversal is the original
 // path 1..8.
+//
+// Exits 1 if either tree or the level structure fails its referee check.
 #include <functional>
 #include <iostream>
 #include <string>
@@ -19,8 +21,6 @@
 
 namespace {
 
-using dgr::ncc::kNoNode;
-
 void print_tree(const dgr::ncc::Network& net,
                 const dgr::prim::TreeOverlay& tree) {
   std::function<void(dgr::ncc::Slot, std::string, bool, bool)> rec =
@@ -30,12 +30,12 @@ void print_tree(const dgr::ncc::Network& net,
                   << net.id_of(s) << "\n";
         const std::string child_prefix =
             prefix + (root ? "" : (last ? "    " : "|   "));
-        if (nd.left != kNoNode && nd.right != kNoNode) {
+        if (nd.left && nd.right) {
           rec(net.slot_of(nd.left), child_prefix, false, false);
           rec(net.slot_of(nd.right), child_prefix, true, false);
-        } else if (nd.left != kNoNode) {
+        } else if (nd.left) {
           rec(net.slot_of(nd.left), child_prefix, true, false);
-        } else if (nd.right != kNoNode) {
+        } else if (nd.right) {
           rec(net.slot_of(nd.right), child_prefix, true, false);
         }
       };
@@ -50,9 +50,16 @@ dgr::ncc::Network make_fixed_net() {
   return dgr::ncc::Network(8, cfg);
 }
 
+/// Prints a failed referee check; returns whether it passed.
+bool check(bool ok, const char* what) {
+  if (!ok) std::cerr << "figures: " << what << " failed validation\n";
+  return ok;
+}
+
 }  // namespace
 
 int main() {
+  bool ok = true;
   // ---- Figure 1: warm-up balanced binary tree -------------------------
   {
     auto net = make_fixed_net();
@@ -63,6 +70,8 @@ int main() {
                  " neighbour b as right child, then the path splits)\n\n";
     print_tree(net, tree);
     std::cout << "\nheight = " << tree.height << " (bound ceil(log 8)+1 = 4)\n\n";
+    ok &= check(dgr::prim::validate_tree(net, tree, path, false),
+                "Figure 1 warm-up tree");
   }
 
   // ---- Figure 2: level structure L + BBST -----------------------------
@@ -99,6 +108,12 @@ int main() {
     for (const auto id : inorder) std::cout << ' ' << id;
     std::cout << "  (= the original path: Theorem 1)\n";
     std::cout << "height = " << tree.height << " (bound 4)\n";
+    ok &= check(dgr::prim::validate_skiplinks(net, path, skip),
+                "Figure 2 level structure");
+    ok &= check(dgr::prim::validate_tree(net, tree, path, true),
+                "Figure 2 search tree");
+    for (std::size_t i = 0; i < inorder.size(); ++i)
+      ok &= check(inorder[i] == i + 1, "Figure 2 inorder traversal");
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -44,7 +44,7 @@ if [ -z "$ops" ]; then
   echo "attributes were removed without retiring this check." >&2
   exit 1
 fi
-# One alternation: ' t .*::(send|send1|send1_id)(' over demangled names.
+# One alternation: ' t .*::(send|send_to)(' over demangled names.
 pattern=" [tTwW] .*::($(echo "$ops" | paste -sd'|' -))\("
 
 status=0

@@ -30,7 +30,7 @@ namespace dgr::ncc {
 /// One worker's outbox: a single flat stream of variable-length wire
 /// records, each `2 + size (+ trailer)` 64-bit words (see ncc::wire in
 /// message.h). A one-word message costs 24 bytes instead of
-/// sizeof(Message) == 48, and appending costs one bounds check and three
+/// sizeof(Message) == 64, and appending costs one bounds check and three
 /// sequential stores. The stream is written and re-read strictly
 /// sequentially, so no per-record offsets exist; deliver() walks it with a
 /// cursor and copies accepted records verbatim to their final inbox
@@ -50,6 +50,8 @@ struct alignas(64) OutArena {
   // Max per-node sends this worker observed this round (NetStats feed;
   // replaces the old O(n) per-round scan of a sends-per-slot array).
   int max_send = 0;
+  // IdMap lookups this worker's round bodies made (NetStats::id_resolutions).
+  std::uint64_t id_resolutions = 0;
 
   void clear() { len = 0; }
 
@@ -74,7 +76,7 @@ struct EncodedRef {
 /// A message returned to its sender because the receiver was
 /// oversubscribed.
 struct Bounced {
-  NodeId dst = kNoNode;
+  NodeRef dst;
   Message msg;
 };
 

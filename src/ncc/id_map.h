@@ -1,8 +1,10 @@
-// O(1) NodeId -> Slot resolution for the round-engine hot path.
+// O(1) NodeId -> Slot resolution.
 //
-// Ctx::send resolves the destination ID (and re-checks every forwarded ID
-// word) on every message, so this lookup sits on the innermost datapath.
-// Two layouts:
+// Protocols address nodes by NodeRef handles, which carry the slot, so the
+// NCC0 send path never comes here. The map serves the referee
+// (Network::slot_of), NCC1 code that addresses IDs from all_ids, and the
+// NodeId entry points (Ctx::send(NodeId, ...), bare ID words, Ctx::ref_of),
+// each lookup of which is counted in NetStats::id_resolutions. Two layouts:
 //   - dense: when IDs are exactly 1..n in slot order (Config::random_ids ==
 //     false, and any future contiguous assignment), find() is a subtraction;
 //   - hashed: otherwise an open-addressing table with linear probing and a
@@ -13,10 +15,7 @@
 //     against the authoritative slot -> ID array (a dense, slot-indexed
 //     lookup) before it is trusted, which also disambiguates genuine
 //     32-bit tag collisions.
-// The table is built once at Network construction and never mutated. find()
-// sits on the engine's innermost loop (every send resolves its destination
-// and every forwarded-ID check resolves the ID), so its footprint is the
-// datapath's footprint.
+// The table is built once at Network construction and never mutated.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,7 @@
 // words carried in payloads.
 //
 // Representation: a sparse-to-dense hybrid keyed by the simulator's Slot
-// (the Network translates NodeId <-> Slot with its O(1) IdMap). Most nodes
+// (sends name nodes by NodeRef handles, which carry the slot). Most nodes
 // in the NCC protocols only ever learn O(log n) IDs (path neighbours, level
 // links, skip links, sort partners), so knowledge starts as a small
 // open-addressing slot table — 256 bytes per node (kMinCap entries)
@@ -33,8 +33,6 @@ class Knowledge {
     all_ = false;
     dense_ = false;
     known_ = 0;
-    learned_ = {};
-    verified_ = {};
     tab_.assign(initial_cap(n), kEmpty);
     words_.clear();
     words_.shrink_to_fit();
@@ -98,27 +96,6 @@ class Knowledge {
   std::uint64_t* dense_words() { return dense_ ? words_.data() : nullptr; }
   void add_known(std::size_t gained) { known_ += gained; }
 
-  /// Two-entry positive cache over (ID, slot) pairs: "last learned" (the
-  /// delivery-side learn pass stores the last ID word it taught) and "last
-  /// verified" (a send-side check that missed both entries and then found
-  /// the ID known). Knowledge grows monotonically and IDs are unique, so
-  /// "this ID was once known, and it lives in this slot" can never go stale
-  /// — callers use it to skip the NodeId -> Slot resolution plus the table
-  /// probe when the same ID is re-verified round after round. Two entries
-  /// because a sort record is either the partner's (just learned) or the
-  /// node's own (verified last stage), and one entry kept only the former.
-  /// Mutable: it is a cache, updated from const verification paths; each
-  /// node's knowledge is only ever touched by the worker that owns the slot
-  /// (or by the delivery pass task that owns the destination), so there is
-  /// no race.
-  Slot cached_slot(NodeId id) const {
-    if (id == learned_.id) return learned_.slot;
-    if (id == verified_.id) return verified_.slot;
-    return kNoSlot;
-  }
-  void set_learned(NodeId id, Slot s) { learned_ = {id, s}; }
-  void set_verified(NodeId id, Slot s) const { verified_ = {id, s}; }
-
  private:
   static constexpr std::uint32_t kEmpty = 0xffffffffu;  // > any valid Slot
   // 64 entries (256B/node) from the start: the overlay-construction
@@ -151,12 +128,6 @@ class Knowledge {
   bool dense_ = false;
   std::size_t known_ = 0;
   std::size_t n_ = 0;
-  struct CachedId {
-    NodeId id = kNoNode;
-    Slot slot = kNoSlot;
-  };
-  CachedId learned_;            // see cached_slot()
-  mutable CachedId verified_;
   std::vector<std::uint32_t> tab_;    // sparse: open-addressing slot table
   std::vector<std::uint64_t> words_;  // dense: bit s => knows slot s
 };

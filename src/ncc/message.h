@@ -1,7 +1,9 @@
 // NCC message: a tag plus at most four words, each standing for one
 // O(log n)-bit field (an ID, a position, a degree, ...). Words flagged in
 // id_mask are node IDs: delivering the message teaches them to the receiver,
-// exactly like carrying an address inside a packet.
+// exactly like carrying an address inside a packet. An ID word appended
+// from a NodeRef (Ctx::push_id) also remembers the handle's slot, so the
+// send writes the record's slot trailer without resolving the ID.
 #pragma once
 
 #include <array>
@@ -14,6 +16,11 @@ namespace dgr::ncc {
 
 /// Maximum payload words per message (message size O(log n) bits).
 inline constexpr std::size_t kMaxWords = 4;
+
+namespace wire {
+void decode(const std::uint64_t* rec, NodeId src_id, bool trailered,
+            Message& out);
+}  // namespace wire
 
 struct Message {
   std::uint32_t tag = 0;
@@ -30,12 +37,9 @@ struct Message {
   }
 
   /// Appends a NodeId word; the receiver will learn this ID on delivery.
-  Message& push_id(NodeId id) {
-    DGR_CHECK_MSG(size < kMaxWords, "message payload overflow");
-    id_mask = static_cast<std::uint8_t>(id_mask | (1u << size));
-    words[size++] = id;
-    return *this;
-  }
+  /// The send resolves it (one IdMap lookup); Ctx::push_id(m, ref) appends
+  /// a handle instead and resolves nothing.
+  Message& push_id(NodeId id) { return push_id_slot(id, kNoSlot); }
 
   std::uint64_t word(std::size_t i) const {
     DGR_CHECK(i < size);
@@ -51,6 +55,23 @@ struct Message {
     DGR_CHECK(i < size && (id_mask & (1u << i)));
     return static_cast<NodeId>(words[i]);
   }
+
+ private:
+  friend class Ctx;
+  friend void wire::decode(const std::uint64_t*, NodeId, bool, Message&);
+
+  Message& push_id_slot(NodeId id, Slot s) {
+    DGR_CHECK_MSG(size < kMaxWords, "message payload overflow");
+    id_mask = static_cast<std::uint8_t>(id_mask | (1u << size));
+    refs_[size] = s;
+    words[size++] = id;
+    return *this;
+  }
+
+  /// refs_[i]: the slot of ID word i when it was appended from a handle (or
+  /// decoded from a trailered record), else kNoSlot and the send resolves
+  /// the word. Private, so a word and its slot can never disagree.
+  std::array<Slot, kMaxWords> refs_{kNoSlot, kNoSlot, kNoSlot, kNoSlot};
 };
 
 /// Convenience constructor.
@@ -68,9 +89,9 @@ inline Message make_msg(std::uint32_t tag) {
 ///   word 1 — payload header: tag | size << 32 | id_mask << 40
 ///   words 2 .. 2+size-1 — the payload words actually in use
 ///   then, on learning (non-clique) networks only, one trailer word per
-///   id_mask bit: that payload ID's slot, resolved at send time so the
+///   id_mask bit: that payload ID's slot, known at send time so the
 ///   delivery-side learn pass never touches the IdMap.
-/// A one-word message costs 24 bytes instead of sizeof(Message) == 48, and
+/// A one-word message costs 24 bytes instead of sizeof(Message) == 64, and
 /// records are written and re-read strictly sequentially — no per-record
 /// offsets exist anywhere; every consumer walks a cursor.
 namespace wire {
@@ -84,12 +105,6 @@ inline std::uint64_t header_word(const Message& m) {
   return static_cast<std::uint64_t>(m.tag) |
          (static_cast<std::uint64_t>(m.size) << 32) |
          (static_cast<std::uint64_t>(m.id_mask) << 40);
-}
-/// Header for the one-word fast path (Ctx::send1 / send1_id): size == 1 and
-/// id_mask == (is_id ? 1 : 0), precomputed so the encoder is three stores.
-inline std::uint64_t header1_word(std::uint32_t tag, bool is_id) {
-  return static_cast<std::uint64_t>(tag) | (std::uint64_t{1} << 32) |
-         (static_cast<std::uint64_t>(is_id ? 1u : 0u) << 40);
 }
 
 inline Slot src(const std::uint64_t* rec) { return static_cast<Slot>(rec[0]); }
@@ -136,14 +151,24 @@ inline const std::uint64_t* trailer(const std::uint64_t* rec) {
 /// Materialize a full Message from its record. Only the `size` payload
 /// words in use are written; Message::word()/id_word() bound every read by
 /// size, so the bytes past it are never observable — skipping the zero-fill
-/// keeps 24B of stores per one-word message off the delivery path.
-inline void decode(const std::uint64_t* rec, NodeId src_id, Message& out) {
+/// keeps 24B of stores per one-word message off the delivery path. A
+/// trailered record also hands its ID words' slots to the Message, so
+/// re-sending it (a forwarding queue, a bounce retry) resolves nothing.
+inline void decode(const std::uint64_t* rec, NodeId src_id, bool trailered,
+                   Message& out) {
   const std::uint64_t h = rec[1];
   out.tag = static_cast<std::uint32_t>(h);
   const auto sz = static_cast<std::uint8_t>(h >> 32);
   out.size = sz;
-  out.id_mask = static_cast<std::uint8_t>(h >> 40);
+  const auto mask = static_cast<std::uint8_t>(h >> 40);
+  out.id_mask = mask;
   for (std::uint8_t w = 0; w < sz; ++w) out.words[w] = rec[kHeaderWords + w];
+  if (trailered && mask != 0) {
+    const std::uint64_t* tp = rec + kHeaderWords + sz;
+    for (std::uint8_t w = 0; w < sz; ++w) {
+      if (mask & (1u << w)) out.refs_[w] = static_cast<Slot>(*tp++);
+    }
+  }
   out.src = src_id;
 }
 

@@ -1,7 +1,6 @@
 #include "ncc/network.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -88,34 +87,18 @@ void sorted_union_into(std::vector<Slot>& dst, const std::vector<Slot>& src,
   dst.swap(scratch);
 }
 
-/// Last ID word a learn batch taught, with its slot (id kNoNode if none).
-struct LastLearned {
-  NodeId id = kNoNode;
-  Slot slot = kNoSlot;
-};
-
 /// Walks `len` contiguous inbox records from `p`, calling learn(slot) for
 /// each record's sender and every slot in its forwarded-ID trailer.
 template <typename Learn>
-LastLearned learn_records(const std::uint64_t* p, std::uint32_t len,
-                          Learn&& learn) {
-  LastLearned last;
+void learn_records(const std::uint64_t* p, std::uint32_t len, Learn&& learn) {
   for (std::uint32_t i = 0; i < len; ++i) {
     learn(wire::src(p));
-    const unsigned mask = wire::id_mask(p);
     const std::size_t nw = wire::size(p);
-    std::size_t tw = 0;
-    if (mask) {
-      const std::uint64_t* tp = p + wire::kHeaderWords + nw;
-      tw = wire::trailer_words(static_cast<std::uint8_t>(mask));
-      for (std::size_t j = 0; j < tw; ++j) learn(static_cast<Slot>(tp[j]));
-      const auto w = static_cast<std::size_t>(std::bit_width(mask)) - 1;
-      last = {static_cast<NodeId>(p[wire::kHeaderWords + w]),
-              static_cast<Slot>(tp[tw - 1])};
-    }
-    p += wire::kHeaderWords + nw + tw;
+    const std::size_t tw = wire::trailer_words(wire::id_mask(p));
+    const std::uint64_t* tp = p + wire::kHeaderWords + nw;
+    for (std::size_t j = 0; j < tw; ++j) learn(static_cast<Slot>(tp[j]));
+    p = tp + tw;
   }
-  return last;
 }
 
 }  // namespace
@@ -181,13 +164,13 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
       k.init(n);
     }
   }
-  initial_succ_.assign(n, kNoNode);
+  initial_succ_.assign(n, kNoSlot);
   // The path hints exist in both variants: NCC1 knowledge strictly contains
   // NCC0's, so NCC0 algorithms run unchanged on an NCC1 network (paper §2).
   for (std::size_t i = 0; i + 1 < n; ++i) {
     const Slot u = path_order_[i];
     const Slot v = path_order_[i + 1];
-    initial_succ_[u] = ids_[v];
+    initial_succ_[u] = v;
     know_[u].learn_slot(v);
   }
   // Every node knows its own ID.
@@ -227,15 +210,15 @@ std::size_t Network::total_knowledge() const {
   return total;
 }
 
-void Network::send_fail(Slot s, NodeId to, const std::uint64_t* rec,
+void Network::send_fail(Slot s, Slot dst, NodeId to, const std::uint64_t* rec,
                         int sends) const {
   // Re-run the checks in their documented order so the thrown diagnostic is
   // the same one the checks would have produced inline.
   Message m;
-  wire::decode(rec, kNoNode, m);
+  wire::decode(rec, kNoNode, false, m);
+  if (dst != kNoSlot) to = ids_[dst];
   DGR_CHECK_MSG(to != kNoNode, "send to null ID");
   const Knowledge& kn = know_[s];
-  const Slot dst = id_map_.find(to);
   if (kn.knows_all()) {
     DGR_CHECK_MSG(dst != kNoSlot, "unknown NodeId " << to);
   } else {
@@ -256,6 +239,20 @@ void Network::send_fail(Slot s, NodeId to, const std::uint64_t* rec,
   std::abort();  // silence [[noreturn]] warnings; DGR_CHECK above throws
 }
 
+NodeRef Ctx::ref_of(NodeId id) {
+  const Slot s = find(id);
+  const Knowledge& kn = net_.know_[slot_];
+  DGR_CHECK_MSG(id != kNoNode, "handle of null ID");
+  if (kn.knows_all()) {
+    DGR_CHECK_MSG(s != kNoSlot, "unknown NodeId " << id);
+  } else {
+    DGR_CHECK_MSG(s != kNoSlot && kn.knows_slot(s),
+                  "node " << net_.ids_[slot_] << " does not know ID " << id
+                          << " (KT0 violation)");
+  }
+  return NodeRef(s);
+}
+
 void Network::run_slots(std::size_t lo, std::size_t hi, unsigned arena,
                         void* body, RoundThunk thunk) {
   auto* out = &scr_->outboxes[arena];
@@ -265,9 +262,10 @@ void Network::run_slots(std::size_t lo, std::size_t hi, unsigned arena,
     if (crashed_[s]) continue;
     Ctx ctx(*this, s, out);
     thunk(body, ctx);
-    // The send budget is tracked in the (register-resident) Ctx; fold it
-    // into the per-arena max for the max_send statistic.
+    // The send budget and lookup count are tracked in the (register-
+    // resident) Ctx; fold them into the arena's max_send and total.
     if (ctx.sends_ > out->max_send) out->max_send = ctx.sends_;
+    out->id_resolutions += ctx.resolutions_;
   }
 }
 
@@ -332,6 +330,7 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
   for (auto& out : sc.outboxes) {
     out.clear();
     out.max_send = 0;
+    out.id_resolutions = 0;
     out.wake.clear();
   }
   for (const Slot d : sc.touched_dests) {
@@ -475,9 +474,11 @@ void Network::deliver() {
   // list-driven scatters. Sparse rounds touch only the lists.
   const bool dense_sweep = sc.touched_dests.size() >= n_ / kDenseSweep;
   std::uint64_t round_max_send = 0;
-  for (const auto& out : sc.outboxes)
+  for (const auto& out : sc.outboxes) {
     round_max_send = std::max<std::uint64_t>(
         round_max_send, static_cast<std::uint64_t>(out.max_send));
+    stats_.id_resolutions += out.id_resolutions;
+  }
   stats_.max_send_in_round =
       std::max(stats_.max_send_in_round, round_max_send);
 
@@ -670,8 +671,8 @@ void Network::deliver() {
       const auto& r = sc.bounce_refs[k];
       if (sc.bounced[r.src].empty()) sc.bounce_srcs.push_back(r.src);
       Bounced& b = sc.bounced[r.src].emplace_back();
-      b.dst = ids_[d];
-      wire::decode(r.enc, ids_[r.src], b.msg);
+      b.dst = NodeRef(d);
+      wire::decode(r.enc, ids_[r.src], trailered, b.msg);
     }
   }
   // Trace events read the canonical placement: dest-major, each
@@ -870,10 +871,9 @@ void Network::learn_dest(Slot d, const std::uint64_t* inbox) {
   Knowledge& k = know_[d];
   const std::uint64_t* p = inbox + sc.inbox_lo[d];
   const std::uint32_t len = sc.inbox_len[d];
-  LastLearned last;
   if (std::uint64_t* const words = k.dense_words()) {
     std::size_t gained = 0;
-    last = learn_records(p, len, [words, &gained](Slot s) {
+    learn_records(p, len, [words, &gained](Slot s) {
       std::uint64_t& w = words[s >> 6];
       const std::uint64_t bit = std::uint64_t{1} << (s & 63);
       gained += static_cast<std::size_t>((w & bit) == 0);
@@ -881,11 +881,8 @@ void Network::learn_dest(Slot d, const std::uint64_t* inbox) {
     });
     k.add_known(gained);
   } else {
-    last = learn_records(p, len, [&k](Slot s) { k.learn_slot(s); });
+    learn_records(p, len, [&k](Slot s) { k.learn_slot(s); });
   }
-  // The last ID word taught refreshes the "last learned" cache entry — the
-  // common re-verified case is "the ID I just received".
-  if (last.id != kNoNode) k.set_learned(last.id, last.slot);
 }
 
 }  // namespace dgr::ncc

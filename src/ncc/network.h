@@ -13,6 +13,13 @@
 // inboxes during round t+1. Referee-side accessors (slot_of, path_order, ...)
 // exist for verification and test assertions only.
 //
+// Addressing: a node names the nodes it knows by NodeRef handles (ids.h)
+// that only the engine mints — ctx.self(), ctx.initial_successor(),
+// m.src_ref() and m.ref_word(i) of a delivered message. Protocols keep
+// handles in their overlays and send to them; a NodeId is resolved only
+// where an ID arrives as a bare number (an algorithm's output, NCC1's
+// all_ids), at the cost of one IdMap lookup (NetStats::id_resolutions).
+//
 // Active-set (sparse) rounds: net.round_active(body) runs the body only for
 // the round's *active* slots — slots that received a message or a bounce in
 // the previous round, slots whose body called ctx.wake() last round, and
@@ -42,7 +49,7 @@
 //     list (Ctx::send keeps no per-send bookkeeping). It then copies each
 //     wire record exactly once, verbatim, straight to its final position in a
 //     shared flat dest-major inbox arena of variable-length records — the
-//     receive side is zero-copy end to end: no 48B Message materialization,
+//     receive side is zero-copy end to end: no Message materialization,
 //     no per-message metadata sidecar. Ctx::inbox_view() hands bodies an
 //     InboxView whose MessageRef elements decode fields lazily from the
 //     records in place. An attached Trace reads its events off the same
@@ -50,8 +57,7 @@
 //     delivery events). The delivery-time learn pass runs dest-major over
 //     the records' contiguous ID-slot trailers, never touching the IdMap;
 //     a destination already in the dense bitset form sets its bits
-//     directly, and the last ID word taught refreshes the destination's
-//     "last learned" entry of its two-entry verified-ID cache;
+//     directly;
 //   - placement is one loop over a destination-slot range; the delivery
 //     tail parallelizes across the executor once a round carries enough
 //     traffic (threads > 1): the placement loop runs as per-worker jobs
@@ -81,12 +87,15 @@
 //     table, and the overflow/bounce cursor tables materialize lazily on
 //     first use. Each Network owns its round-transient bundle
 //     (RoundScratch) and frees it on destruction;
-//   - ID -> slot resolution is O(1) (IdMap) and knowledge is a slot-indexed
-//     sparse-to-dense hybrid (Knowledge), so the send path does no hashing
-//     of std::unordered containers and no binary search; Ctx::send is
-//     header-inline (the build has no LTO) with its failure diagnostics
-//     outlined to Network::send_fail so round bodies pay one lean inlined
-//     path per message.
+//   - a send to a NodeRef carries its destination slot, and an ID word
+//     appended from a NodeRef carries its trailer slot, so the send path
+//     resolves nothing: it probes the sender's slot-indexed knowledge
+//     (Knowledge, a sparse-to-dense hybrid) for the KT0 check and encodes.
+//     The NodeId overload and bare ID words pay one IdMap lookup each
+//     (hashed unless IDs are 1..n). Both overloads share one send body,
+//     which is header-inline (the build has no LTO) with its failure
+//     diagnostics outlined to Network::send_fail, so round bodies pay one
+//     lean inlined path per message.
 #pragma once
 
 #include <bit>
@@ -118,7 +127,7 @@ class Network;
 /// its wire record in the engine's inbox arena (see ncc::wire in message.h
 /// for the layout). Field accessors read straight from the record — nothing
 /// is materialized until materialize() is called — so iterating an inbox
-/// and switching on tag() costs two loads per message, not a 48B copy.
+/// and switching on tag() costs two loads per message, not a Message copy.
 /// Validity: a MessageRef aliases engine-owned memory that the next round's
 /// delivery repacks; do not hold one across the end of the round body
 /// (debug builds diagnose stale dereferences, see InboxView).
@@ -130,6 +139,8 @@ class MessageRef {
   /// Sender's ID (the engine stamps it from the routing word; it is never
   /// transmitted on the wire).
   NodeId src() const { return ids_[wire::src(rec_)]; }
+  /// The sender as a handle, straight from the routing word.
+  NodeRef src_ref() const { return NodeRef(wire::src(rec_)); }
 
   std::uint64_t word(std::size_t i) const {
     DGR_CHECK(i < size());
@@ -143,21 +154,35 @@ class MessageRef {
     DGR_CHECK(i < size() && (id_mask() & (1u << i)));
     return static_cast<NodeId>(rec_[wire::kHeaderWords + i]);
   }
+  /// ID word i as a handle. On learning networks it is read from the
+  /// record's slot trailer (written by the sender's send); clique records
+  /// carry no trailer, so there the ID is looked up.
+  NodeRef ref_word(std::size_t i) const {
+    DGR_CHECK(i < size() && (id_mask() & (1u << i)));
+    if (map_ == nullptr) {
+      const auto below = static_cast<std::uint8_t>(id_mask() & ((1u << i) - 1));
+      return NodeRef(static_cast<Slot>(
+          wire::trailer(rec_)[wire::trailer_words(below)]));
+    }
+    return NodeRef(map_->find(static_cast<NodeId>(rec_[wire::kHeaderWords + i])));
+  }
 
   /// Full decode into an owning Message (for code that stores or re-sends
-  /// delivered messages, e.g. a forwarding queue).
+  /// delivered messages, e.g. a forwarding queue). ID words keep their
+  /// handles, so re-sending resolves nothing.
   Message materialize() const {
     Message m;
-    wire::decode(rec_, src(), m);
+    wire::decode(rec_, src(), map_ == nullptr, m);
     return m;
   }
 
  private:
   friend class InboxView;
-  MessageRef(const std::uint64_t* rec, const NodeId* ids)
-      : rec_(rec), ids_(ids) {}
+  MessageRef(const std::uint64_t* rec, const NodeId* ids, const IdMap* map)
+      : rec_(rec), ids_(ids), map_(map) {}
   const std::uint64_t* rec_;
   const NodeId* ids_;
+  const IdMap* map_;  // clique networks only; null when records are trailered
 };
 
 /// Zero-copy view of one node's inbox for the current round: an input range
@@ -185,10 +210,10 @@ class InboxView {
                      "an earlier round and its arena has been repacked (views "
                      "are only valid inside the round body that created "
                      "them)");
-      return MessageRef(p_, ids_);
+      return MessageRef(p_, ids_, map_);
     }
     iterator& operator++() {
-      p_ += wire::record_words(p_, trailered_);
+      p_ += wire::record_words(p_, map_ == nullptr);
       --left_;
       return *this;
     }
@@ -199,8 +224,8 @@ class InboxView {
     friend class InboxView;
     const std::uint64_t* p_ = nullptr;
     const NodeId* ids_ = nullptr;
+    const IdMap* map_ = nullptr;
     std::uint32_t left_ = 0;
-    bool trailered_ = false;
 #ifndef NDEBUG
     const std::uint64_t* live_gen_ = nullptr;
     std::uint64_t gen_ = 0;
@@ -214,8 +239,8 @@ class InboxView {
     iterator it;
     it.p_ = base_;
     it.ids_ = ids_;
+    it.map_ = map_;
     it.left_ = len_;
-    it.trailered_ = trailered_;
 #ifndef NDEBUG
     it.live_gen_ = live_gen_;
     it.gen_ = gen_;
@@ -227,20 +252,22 @@ class InboxView {
 
  private:
   friend class Network;
+  // `map` is the IdMap on clique networks (untrailered records) and null on
+  // learning networks.
 #ifndef NDEBUG
   InboxView(const std::uint64_t* base, std::uint32_t len, const NodeId* ids,
-            bool trailered, const std::uint64_t* live_gen)
-      : base_(base), len_(len), ids_(ids), trailered_(trailered),
-        live_gen_(live_gen), gen_(*live_gen) {}
+            const IdMap* map, const std::uint64_t* live_gen)
+      : base_(base), len_(len), ids_(ids), map_(map), live_gen_(live_gen),
+        gen_(*live_gen) {}
 #else
   InboxView(const std::uint64_t* base, std::uint32_t len, const NodeId* ids,
-            bool trailered, const std::uint64_t* /*live_gen*/)
-      : base_(base), len_(len), ids_(ids), trailered_(trailered) {}
+            const IdMap* map, const std::uint64_t* /*live_gen*/)
+      : base_(base), len_(len), ids_(ids), map_(map) {}
 #endif
   const std::uint64_t* base_;
   std::uint32_t len_;
   const NodeId* ids_;
-  bool trailered_;
+  const IdMap* map_;
 #ifndef NDEBUG
   const std::uint64_t* live_gen_;  // &Network::inbox_gen_
   std::uint64_t gen_;              // generation at creation
@@ -253,6 +280,10 @@ class Ctx {
  public:
   NodeId id() const;
   Slot slot() const { return slot_; }
+  /// This node's own handle.
+  NodeRef self() const { return NodeRef(slot_); }
+  /// The ID behind a handle this node holds (kNoNode for the null handle).
+  NodeId id_of(NodeRef r) const;
   /// n is common knowledge in the model (paper §3.1.1 assumes it).
   std::size_t n() const;
   /// Global synchronous round number (common knowledge: nodes count rounds).
@@ -262,42 +293,40 @@ class Ctx {
   /// Send budget still available to this node in the current round.
   int sends_left() const;
 
-  bool knows(NodeId id) const;
-  /// Initial knowledge: ID of this node's successor in the directed path Gk
-  /// (kNoNode for the last node, or in clique mode).
-  NodeId initial_successor() const;
+  /// Whether this node knows `id` (one IdMap lookup on learning networks,
+  /// counted in NetStats::id_resolutions).
+  bool knows(NodeId id);
+  /// Initial knowledge: this node's successor in the directed path Gk (the
+  /// null handle for the last node).
+  NodeRef initial_successor() const;
   /// NCC1 only: the sorted list of all IDs (common knowledge in KT1).
   std::span<const NodeId> all_ids() const;
+  /// Entry point for an ID held as a bare number (an algorithm's output,
+  /// NCC1's all_ids): its handle, resolved once. The node must know the ID
+  /// (a KT0 violation otherwise). Counted in NetStats::id_resolutions.
+  NodeRef ref_of(NodeId id);
+  /// Append an ID word naming `r` to `m`: the word carries r's ID, and the
+  /// send writes r's slot into the record trailer without a lookup.
+  Message& push_id(Message& m, NodeRef r) const;
 
-  /// Queue a message for delivery next round. Enforces knowledge + send cap.
-  /// Forced inline: the definition has grown past the compilers' inlining
-  /// budget, and an outlined call here means copying the 48-byte Message
-  /// through the stack once per message — measurably (~3x) slower on the
-  /// all-dense engine microbenches.
+  /// Queue a message for delivery next round. Enforces knowledge + send cap:
+  /// the sender must know the destination and every ID word it forwards.
+  /// A handle destination (and every ID word appended from a handle) skips
+  /// the NodeId -> Slot lookup; a NodeId destination or a bare ID word costs
+  /// one IdMap lookup each, counted in NetStats::id_resolutions. Both
+  /// overloads write the same record, so transcripts do not depend on which
+  /// one a protocol uses. Forced inline: the definition has grown past the
+  /// compilers' inlining budget, and an outlined call here means copying the
+  /// Message through the stack once per message — measurably (~3x) slower
+  /// on the all-dense engine microbenches.
+#if defined(__GNUC__) || defined(__clang__)
+  [[gnu::always_inline]]
+#endif
+  inline void send(NodeRef to, Message m);
 #if defined(__GNUC__) || defined(__clang__)
   [[gnu::always_inline]]
 #endif
   inline void send(NodeId to, Message m);
-
-  /// Wire-level fast path for the dominant record shape: a one-word
-  /// message. Encodes the 3-word record (no trailer) with straight-line
-  /// stores — no 48-byte Message aggregate is ever built, copied, or
-  /// looped over — and performs exactly the checks send() would, in the
-  /// same order, so the transcript (and every failure diagnostic) is
-  /// bit-identical to send(to, make_msg(tag).push(word)).
-#if defined(__GNUC__) || defined(__clang__)
-  [[gnu::always_inline]]
-#endif
-  inline void send1(NodeId to, std::uint32_t tag, std::uint64_t word);
-
-  /// One-word fast path where the word is a forwarded NodeId (the receiver
-  /// learns it on delivery). Equivalent to send(to, make_msg(tag)
-  /// .push_id(id)); on learning networks the record carries the resolved
-  /// slot trailer exactly as send() would have written it.
-#if defined(__GNUC__) || defined(__clang__)
-  [[gnu::always_inline]]
-#endif
-  inline void send1_id(NodeId to, std::uint32_t tag, NodeId id);
 
   /// Zero-copy view of the messages delivered to this node at the start of
   /// the current round: MessageRefs decode fields lazily from the wire
@@ -318,10 +347,20 @@ class Ctx {
   friend class Network;
   Ctx(Network& net, Slot slot, OutArena* out)
       : net_(net), slot_(slot), out_(out) {}
+  /// IdMap lookup on behalf of this node, counted.
+  Slot find(NodeId id);
+  /// The one send body. `to` is the destination ID when the caller had it
+  /// (diagnostics only); the handle overload passes kNoNode.
+#if defined(__GNUC__) || defined(__clang__)
+  [[gnu::always_inline]]
+#endif
+  inline void send_to(Slot dst, NodeId to, Message& m);
+
   Network& net_;
   Slot slot_;
   OutArena* out_;  // this worker's flat outbox arena
   int sends_ = 0;  // this node's sends this round (engine copies it out)
+  std::uint32_t resolutions_ = 0;  // IdMap lookups (engine folds them)
 };
 
 class Network {
@@ -475,7 +514,15 @@ class Network {
 
   // --- Referee-side accessors (verification / test assertions only) ---
   NodeId id_of(Slot s) const { return ids_[s]; }
+  NodeId id_of(NodeRef r) const { return r ? ids_[r.slot_] : kNoNode; }
   Slot slot_of(NodeId id) const;
+  Slot slot_of(NodeRef r) const { return r.slot_; }
+  /// Orchestrator-side: the handle node `s` holds for itself (a node always
+  /// knows its own ID), for state built on the nodes' behalf between rounds.
+  NodeRef ref_of(Slot s) const {
+    DGR_CHECK_MSG(s < n_, "ref_of invalid slot " << s);
+    return NodeRef(s);
+  }
   /// Every node's ID, ascending (NCC1 common knowledge: Ctx::all_ids).
   /// Kept by set-up on every network, so referee-side code never re-sorts.
   const std::vector<NodeId>& sorted_ids() const { return sorted_ids_; }
@@ -483,18 +530,11 @@ class Network {
   const std::vector<Slot>& path_order() const { return path_order_; }
   /// Number of distinct IDs node `s` currently knows.
   std::size_t knowledge_size(Slot s) const { return know_[s].size(n_); }
-  /// The slot of `id` if node `s` verifiably knows that ID, else kNoSlot.
-  /// The two-entry (ID, slot) cache first (last learned, last verified —
-  /// monotone knowledge keeps both valid forever), then the IdMap +
-  /// membership probe, whose hit refreshes the "last verified" entry.
+  /// The slot of `id` if node `s` knows that ID, else kNoSlot.
   Slot known_slot_of(Slot s, NodeId id) const {
-    if (id == kNoNode) return kNoSlot;
     const Knowledge& k = know_[s];
-    const Slot c = k.cached_slot(id);
-    if (c != kNoSlot) return c;
     const Slot t = id_map_.find(id);
     if (t == kNoSlot || !(k.knows_all() || k.knows_slot(t))) return kNoSlot;
-    k.set_verified(id, t);
     return t;
   }
   bool node_knows(Slot s, NodeId id) const {
@@ -547,13 +587,15 @@ class Network {
     const std::uint32_t len = scr_->inbox_len[s];
     const std::uint64_t* base =
         len != 0 ? scr_->inbox_words.get() + scr_->inbox_lo[s] : nullptr;
-    return InboxView(base, len, ids_.data(), !is_clique(), &inbox_gen_);
+    return InboxView(base, len, ids_.data(), is_clique() ? &id_map_ : nullptr,
+                     &inbox_gen_);
   }
   /// Cold path: re-runs the send checks in their documented order to throw
   /// the exact diagnostic; called only when the inlined fast checks failed.
   /// Takes the wire-encoded record so the hot path never spills the Message.
-  [[noreturn]] void send_fail(Slot s, NodeId to, const std::uint64_t* rec,
-                              int sends) const;
+  /// `to` may be kNoNode for a handle send; the ID is then read from `dst`.
+  [[noreturn]] void send_fail(Slot s, Slot dst, NodeId to,
+                              const std::uint64_t* rec, int sends) const;
 
   std::size_t n_;
   Config cfg_;
@@ -563,9 +605,9 @@ class Network {
   std::vector<NodeId> ids_;               // slot -> ID
   std::vector<NodeId> sorted_ids_;        // ascending; see sorted_ids()
   std::vector<Slot> path_order_;          // position -> slot
-  std::vector<NodeId> initial_succ_;      // slot -> successor ID in Gk
+  std::vector<Slot> initial_succ_;        // slot -> successor slot in Gk
   std::vector<Knowledge> know_;
-  IdMap id_map_;                          // O(1) NodeId -> Slot
+  IdMap id_map_;  // NodeId -> Slot: referee, NCC1 and NodeId entry points
 
   // Round-transient state (RoundScratch, ncc/arena.h), all flat and reused
   // across rounds: after the first few rounds the steady-state datapath
@@ -644,10 +686,25 @@ inline std::uint64_t Ctx::round() const { return net_.stats_.rounds; }
 inline int Ctx::capacity() const { return net_.capacity_; }
 inline int Ctx::sends_left() const { return net_.capacity_ - sends_; }
 
-inline bool Ctx::knows(NodeId id) const { return net_.node_knows(slot_, id); }
+inline NodeId Ctx::id_of(NodeRef r) const { return net_.id_of(r); }
 
-inline NodeId Ctx::initial_successor() const {
-  return net_.initial_succ_[slot_];
+inline Slot Ctx::find(NodeId id) {
+  ++resolutions_;
+  return net_.id_map_.find(id);
+}
+
+inline bool Ctx::knows(NodeId id) {
+  if (id == kNoNode) return false;
+  const Knowledge& k = net_.know_[slot_];
+  // NCC1: common knowledge covers every ID; no lookup (and a payload word
+  // that is not a real node ID is not a KT0 violation).
+  if (k.knows_all()) return true;
+  const Slot s = find(id);
+  return s != kNoSlot && k.knows_slot(s);
+}
+
+inline NodeRef Ctx::initial_successor() const {
+  return NodeRef(net_.initial_succ_[slot_]);
 }
 
 inline std::span<const NodeId> Ctx::all_ids() const {
@@ -656,8 +713,15 @@ inline std::span<const NodeId> Ctx::all_ids() const {
   return net_.sorted_ids_;
 }
 
-inline void Ctx::send(NodeId to, Message m) {
-  const Slot dst = net_.id_map_.find(to);
+inline Message& Ctx::push_id(Message& m, NodeRef r) const {
+  return m.push_id_slot(net_.id_of(r), r.slot_);
+}
+
+inline void Ctx::send(NodeRef to, Message m) { send_to(to.slot_, kNoNode, m); }
+
+inline void Ctx::send(NodeId to, Message m) { send_to(find(to), to, m); }
+
+inline void Ctx::send_to(Slot dst, NodeId to, Message& m) {
   // A Message is a plain aggregate, so a hand-corrupted size could drive
   // the encode loop out of bounds; reject it before touching the arena.
   if (m.size > kMaxWords) [[unlikely]] {
@@ -682,11 +746,10 @@ inline void Ctx::send(NodeId to, Message m) {
   // The sender's ID is stamped from the routing word at delivery, so it is
   // not transmitted.
   //
-  // Forwarded-ID trailer: the KT0 check below must resolve every ID word's
-  // slot anyway, so on learning networks the record carries those slots
-  // after the payload and the delivery-side learn pass never touches the
-  // IdMap. Clique networks skip learning, so their records stay trailerless
-  // (wire::record_words mirrors this split).
+  // Forwarded-ID trailer: on learning networks the record carries each ID
+  // word's slot after the payload, so the delivery-side learn pass never
+  // touches the IdMap. Clique networks skip learning, so their records stay
+  // trailerless (wire::record_words mirrors this split).
   const std::size_t nw = m.size;
   const bool trailered = m.id_mask != 0 && !net_.is_clique();
   const std::size_t tw = trailered ? wire::trailer_words(m.id_mask) : 0;
@@ -698,90 +761,37 @@ inline void Ctx::send(NodeId to, Message m) {
   // Model rules 1 (sender knows destination) and 2 (send budget); see
   // Network::send_fail for the individual diagnostics.
   const Knowledge& kn = net_.know_[slot_];
-  if (to == kNoNode || dst == kNoSlot ||
-      !(kn.knows_all() || kn.knows_slot(dst)) ||
+  if (dst == kNoSlot || !(kn.knows_all() || kn.knows_slot(dst)) ||
       sends_ >= net_.capacity_) [[unlikely]] {
     out_->len -= rec_len;  // pop the rejected record
-    net_.send_fail(slot_, to, p, sends_);
+    net_.send_fail(slot_, dst, to, p, sends_);
   }
   // A node can only transmit IDs it actually knows (no referee leakage).
-  // The trailered (learning-network) branch resolves each ID's slot for
-  // the trailer as a side effect of the check; the clique branch keeps the
-  // knows_all short-circuit — no resolution, no probe.
+  // On learning networks a word appended from a handle already has its
+  // slot; a bare ID word is looked up. Either way the slot must be known,
+  // and it becomes the trailer word. The clique branch keeps the knows_all
+  // short-circuit — no lookup, no probe — and rejects only the null ID.
   if (m.id_mask) {
     if (trailered) {
       std::uint64_t* tp = p + wire::kHeaderWords + nw;
-      for (std::size_t w = 0; w < m.size; ++w) {
+      for (std::size_t w = 0; w < nw; ++w) {
         if ((m.id_mask & (1u << w)) == 0) continue;
-        const Slot ws = net_.known_slot_of(slot_, m.words[w]);
-        if (ws == kNoSlot) [[unlikely]] {
+        Slot ws = m.refs_[w];
+        if (ws == kNoSlot) ws = find(m.words[w]);
+        if (ws == kNoSlot || !kn.knows_slot(ws)) [[unlikely]] {
           out_->len -= rec_len;  // pop the rejected record
-          net_.send_fail(slot_, to, p, sends_);
+          net_.send_fail(slot_, dst, to, p, sends_);
         }
         *tp++ = ws;
       }
     } else {
-      for (std::size_t w = 0; w < m.size; ++w) {
-        if ((m.id_mask & (1u << w)) && !knows(m.words[w])) [[unlikely]] {
+      for (std::size_t w = 0; w < nw; ++w) {
+        if ((m.id_mask & (1u << w)) && m.words[w] == kNoNode) [[unlikely]] {
           out_->len -= rec_len;  // pop the rejected record
-          net_.send_fail(slot_, to, p, sends_);
+          net_.send_fail(slot_, dst, to, p, sends_);
         }
       }
     }
-  }
-  ++sends_;
-}
-
-inline void Ctx::send1(NodeId to, std::uint32_t tag, std::uint64_t word) {
-  const Slot dst = net_.id_map_.find(to);
-  // Encode speculatively like send(): three straight-line stores, then the
-  // combined validity check with the cold diagnostics outlined. The record
-  // bytes are exactly what send(to, make_msg(tag).push(word)) writes.
-  constexpr std::size_t rec_len = wire::kHeaderWords + 1;
-  std::uint64_t* p = out_->append(rec_len);
-  p[0] = wire::routing_word(slot_, dst);
-  p[1] = wire::header1_word(tag, /*is_id=*/false);
-  p[2] = word;
-  const Knowledge& kn = net_.know_[slot_];
-  if (to == kNoNode || dst == kNoSlot ||
-      !(kn.knows_all() || kn.knows_slot(dst)) ||
-      sends_ >= net_.capacity_) [[unlikely]] {
-    out_->len -= rec_len;  // pop the rejected record
-    net_.send_fail(slot_, to, p, sends_);
-  }
-  ++sends_;
-}
-
-inline void Ctx::send1_id(NodeId to, std::uint32_t tag, NodeId id) {
-  const Slot dst = net_.id_map_.find(to);
-  const bool trailered = !net_.is_clique();
-  const std::size_t rec_len = wire::kHeaderWords + 1 + (trailered ? 1 : 0);
-  std::uint64_t* p = out_->append(rec_len);
-  p[0] = wire::routing_word(slot_, dst);
-  p[1] = wire::header1_word(tag, /*is_id=*/true);
-  p[2] = id;
-  const Knowledge& kn = net_.know_[slot_];
-  if (to == kNoNode || dst == kNoSlot ||
-      !(kn.knows_all() || kn.knows_slot(dst)) ||
-      sends_ >= net_.capacity_) [[unlikely]] {
-    out_->len -= rec_len;  // pop the rejected record
-    net_.send_fail(slot_, to, p, sends_);
-  }
-  if (trailered) {
-    // Learning network: the forwarded-ID KT0 check resolves the slot, and
-    // the record carries it as the trailer word — same as send().
-    const Slot ws = net_.known_slot_of(slot_, id);
-    if (ws == kNoSlot) [[unlikely]] {
-      out_->len -= rec_len;  // pop the rejected record
-      net_.send_fail(slot_, to, p, sends_);
-    }
-    p[3] = ws;
-  } else if (id == kNoNode) [[unlikely]] {
-    // Clique network: common knowledge covers every real ID (send()'s
-    // knows_all short-circuit — no resolution, no trailer), but a null
-    // ID is still rejected exactly as send()'s forwarded-ID loop does.
-    out_->len -= rec_len;  // pop the rejected record
-    net_.send_fail(slot_, to, p, sends_);
   }
   ++sends_;
 }

@@ -11,14 +11,15 @@ void SendQueue::pump(Ctx& ctx) {
   // the backlog so no message starves.
   for (const auto& b : ctx.bounced()) {
     if (has_filter_ && b.msg.tag != tag_filter_) continue;
-    queue_.push_front({b.dst, b.msg});
+    backlog_q().push_front({b.dst, b.msg});
   }
   in_flight_ = 0;
+  if (!queue_) return;
 
-  while (!queue_.empty() && ctx.sends_left() > 0) {
-    Pending p = std::move(queue_.front());
-    queue_.pop_front();
-    ctx.send(p.dst, std::move(p.msg));
+  while (!queue_->empty() && ctx.sends_left() > 0) {
+    const Pending p = queue_->front();
+    queue_->pop_front();
+    ctx.send(p.dst, p.msg);
     ++in_flight_;
   }
 }

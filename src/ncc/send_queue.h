@@ -12,11 +12,16 @@
 // pump() first re-ingests this node's bounces from the previous round (only
 // those whose tag passes the filter), then sends as much of the backlog as
 // the remaining round budget allows.
+//
+// Destinations are NodeRef handles, so pumping resolves no IDs. The backlog
+// deque is created on the first push: primitives build one queue per node
+// per call (range multicast does so every phase), and most never queue
+// anything, while an empty libstdc++ deque already holds a ~0.5 KiB node.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <memory>
 
 #include "ncc/network.h"
 
@@ -31,28 +36,32 @@ class SendQueue {
   explicit SendQueue(std::uint32_t tag_filter)
       : has_filter_(true), tag_filter_(tag_filter) {}
 
-  void push(NodeId dst, Message m) { queue_.push_back({dst, std::move(m)}); }
+  void push(NodeRef dst, Message m) { backlog_q().push_back({dst, m}); }
   /// Forwarding ingest straight from an inbox view: the queue owns its
   /// backlog across rounds, so this is the one place a zero-copy MessageRef
   /// must be materialized (the view's arena is repacked next round).
-  void push(NodeId dst, const MessageRef& m) {
-    queue_.push_back({dst, m.materialize()});
+  void push(NodeRef dst, const MessageRef& m) {
+    backlog_q().push_back({dst, m.materialize()});
   }
 
   /// Re-ingest bounces, then send while budget remains. Call at most once
   /// per node per round.
   void pump(Ctx& ctx);
 
-  bool idle() const { return queue_.empty() && in_flight_ == 0; }
-  std::size_t backlog() const { return queue_.size(); }
+  bool idle() const { return backlog() == 0 && in_flight_ == 0; }
+  std::size_t backlog() const { return queue_ ? queue_->size() : 0; }
   std::uint64_t in_flight() const { return in_flight_; }
 
  private:
   struct Pending {
-    NodeId dst;
+    NodeRef dst;
     Message msg;
   };
-  std::deque<Pending> queue_;
+  std::deque<Pending>& backlog_q() {
+    if (!queue_) queue_ = std::make_unique<std::deque<Pending>>();
+    return *queue_;
+  }
+  std::unique_ptr<std::deque<Pending>> queue_;  // null until the first push
   std::uint64_t in_flight_ = 0;       // sent, not yet known-delivered
   std::uint64_t last_pump_round_ = ~std::uint64_t{0};
   bool has_filter_ = false;

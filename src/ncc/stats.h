@@ -33,6 +33,12 @@ struct NetStats {
   std::uint64_t messages_dropped = 0;    ///< lost to link failure (no feedback)
   std::uint64_t max_send_in_round = 0;   ///< max per-node sends in any round
   std::uint64_t max_recv_in_round = 0;   ///< max per-node deliveries in any round
+  /// Work counter, not transcript: NodeId -> Slot lookups round bodies made
+  /// (sends to a NodeId, bare ID words, Ctx::knows / Ctx::ref_of). Sends
+  /// and ID words given as NodeRef handles make none. Deterministic, but it
+  /// differs between two protocols that send the same records by ID or by
+  /// handle, so transcript fingerprints leave it out.
+  std::uint64_t id_resolutions = 0;
 
   /// Rounds attributed to named phases via ScopedRounds.
   std::map<std::string, std::uint64_t> scope_rounds;

@@ -21,6 +21,7 @@ std::vector<Row> rows(const ncc::NetStats& s) {
   push(out, "messages_dropped", s.messages_dropped);
   push(out, "max_send_in_round", s.max_send_in_round);
   push(out, "max_recv_in_round", s.max_recv_in_round);
+  push(out, "id_resolutions", s.id_resolutions);
   if (s.phase_ns.total() > 0) {
     push(out, "phase_body_ns", s.phase_ns.body);
     push(out, "phase_sort_ns", s.phase_ns.sort);

@@ -48,8 +48,8 @@ TreeOverlay build_bbst(ncc::Network& net, PathOverlay& path) {
   const int levels = ceil_log2(members);  // L_0 .. L_levels
 
   // Per-node, per-level path links. lpred[k][s] / lsucc[k][s].
-  std::vector<std::vector<NodeId>> lpred(
-      static_cast<std::size_t>(levels) + 1, std::vector<NodeId>(n, kNoNode));
+  std::vector<std::vector<NodeRef>> lpred(
+      static_cast<std::size_t>(levels) + 1, std::vector<NodeRef>(n));
   auto lsucc = lpred;
   for (Slot s = 0; s < n; ++s) {
     if (!path.member(s)) continue;
@@ -70,26 +70,27 @@ TreeOverlay build_bbst(ncc::Network& net, PathOverlay& path) {
       if (!path.member(s)) return;
       // Ingest announcements for level k-1 (sent last round).
       for (const auto m : ctx.inbox_view()) {
-        if (m.tag() == kTagGrandPred) lpred[k - 1][s] = m.id_word(0);
-        else if (m.tag() == kTagGrandSucc) lsucc[k - 1][s] = m.id_word(0);
+        if (m.tag() == kTagGrandPred) lpred[k - 1][s] = m.ref_word(0);
+        else if (m.tag() == kTagGrandSucc) lsucc[k - 1][s] = m.ref_word(0);
       }
       if (k > levels) return;  // drain-only round
       // Announce grand links for level k.
-      const NodeId p = lpred[k - 1][s];
-      const NodeId q = lsucc[k - 1][s];
-      if (q != kNoNode && p != kNoNode)
-        ctx.send1_id(q, kTagGrandPred, p);
-      if (p != kNoNode && q != kNoNode)
-        ctx.send1_id(p, kTagGrandSucc, q);
+      const NodeRef p = lpred[k - 1][s];
+      const NodeRef q = lsucc[k - 1][s];
+      if (!p || !q) return;
+      ncc::Message to_q = ncc::make_msg(kTagGrandPred);
+      ctx.send(q, ctx.push_id(to_q, p));
+      ncc::Message to_p = ncc::make_msg(kTagGrandSucc);
+      ctx.send(p, ctx.push_id(to_p, q));
     });
   }
 
   // Controlled BFS (Algorithm 1). The head of the path is the root.
   std::vector<std::uint8_t> in_sp(n, 0), in_ss(n, 0);
-  std::vector<NodeId> invited_left(n, kNoNode), invited_right(n, kNoNode);
+  std::vector<NodeRef> invited_left(n), invited_right(n);
 
   for (Slot s = 0; s < n; ++s) {
-    if (path.member(s) && path.pred[s] == kNoNode) {
+    if (path.member(s) && !path.pred[s]) {
       tree.nodes[s].in_tree = true;
       in_sp[s] = in_ss[s] = 1;
       tree.root = s;
@@ -101,8 +102,9 @@ TreeOverlay build_bbst(ncc::Network& net, PathOverlay& path) {
     const Slot s = ctx.slot();
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != kTagAccept) continue;
-      if (m.src() == invited_left[s]) tree.nodes[s].left = m.src();
-      else if (m.src() == invited_right[s]) tree.nodes[s].right = m.src();
+      if (m.src_ref() == invited_left[s]) tree.nodes[s].left = m.src_ref();
+      else if (m.src_ref() == invited_right[s])
+        tree.nodes[s].right = m.src_ref();
     }
   };
 
@@ -119,12 +121,12 @@ TreeOverlay build_bbst(ncc::Network& net, PathOverlay& path) {
       const Slot s = ctx.slot();
       if (!path.member(s)) return;
       ingest_accepts(ctx);
-      if (in_sp[s] && lpred[i][s] != kNoNode) {
+      if (in_sp[s] && lpred[i][s]) {
         invited_left[s] = lpred[i][s];
         ctx.send(lpred[i][s], ncc::make_msg(kTagInviteLeft));
         in_sp[s] = 0;
       }
-      if (in_ss[s] && lsucc[i][s] != kNoNode) {
+      if (in_ss[s] && lsucc[i][s]) {
         invited_right[s] = lsucc[i][s];
         ctx.send(lsucc[i][s], ncc::make_msg(kTagInviteRight));
         in_ss[s] = 0;
@@ -139,12 +141,17 @@ TreeOverlay build_bbst(ncc::Network& net, PathOverlay& path) {
         if (in_sp[s] || in_ss[s]) ctx.wake();  // invite again next level
         return;
       }
-      NodeId chosen = kNoNode;
+      // The inviter with the smallest ID wins.
+      NodeId chosen_id = kNoNode;
+      NodeRef chosen;
       for (const auto m : ctx.inbox_view()) {
         if (m.tag() != kTagInviteLeft && m.tag() != kTagInviteRight) continue;
-        if (chosen == kNoNode || m.src() < chosen) chosen = m.src();
+        if (!chosen || m.src() < chosen_id) {
+          chosen_id = m.src();
+          chosen = m.src_ref();
+        }
       }
-      if (chosen == kNoNode) return;
+      if (!chosen) return;
       tree.nodes[s].in_tree = true;
       tree.nodes[s].parent = chosen;
       ctx.send(chosen, ncc::make_msg(kTagAccept));
@@ -164,10 +171,8 @@ TreeOverlay build_bbst(ncc::Network& net, PathOverlay& path) {
     std::function<int(Slot)> depth_of = [&](Slot s) -> int {
       const auto& nd = tree.nodes[s];
       int d = 1;
-      if (nd.left != kNoNode)
-        d = std::max(d, 1 + depth_of(net.slot_of(nd.left)));
-      if (nd.right != kNoNode)
-        d = std::max(d, 1 + depth_of(net.slot_of(nd.right)));
+      if (nd.left) d = std::max(d, 1 + depth_of(net.slot_of(nd.left)));
+      if (nd.right) d = std::max(d, 1 + depth_of(net.slot_of(nd.right)));
       return d;
     };
     tree.height = depth_of(tree.root);
@@ -208,8 +213,8 @@ PrefixSums tree_prefix_sum(ncc::Network& net, const TreeOverlay& tree,
   for (Slot s = 0; s < n; ++s) {
     if (!tree.member(s)) continue;
     ++members;
-    if (tree.nodes[s].left == kNoNode) left_done[s] = 1;
-    if (tree.nodes[s].right == kNoNode) right_done[s] = 1;
+    if (!tree.nodes[s].left) left_done[s] = 1;
+    if (!tree.nodes[s].right) right_done[s] = 1;
     if (left_done[s] && right_done[s]) net.wake(s);  // leaves start the wave
   }
   if (members == 0) return out;
@@ -223,10 +228,10 @@ PrefixSums tree_prefix_sum(ncc::Network& net, const TreeOverlay& tree,
     const auto& nd = tree.nodes[s];
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != kTagUp) continue;
-      if (m.src() == nd.left) {
+      if (m.src_ref() == nd.left) {
         left_sum[s] = m.word(0);
         left_done[s] = 1;
-      } else if (m.src() == nd.right) {
+      } else if (m.src_ref() == nd.right) {
         right_sum[s] = m.word(0);
         right_done[s] = 1;
       }
@@ -234,7 +239,7 @@ PrefixSums tree_prefix_sum(ncc::Network& net, const TreeOverlay& tree,
     if (left_done[s] && right_done[s]) {
       out.subtree[s] = value[s] + left_sum[s] + right_sum[s];
       sent_up[s] = 1;
-      if (nd.parent != kNoNode)
+      if (nd.parent)
         ctx.send(nd.parent, ncc::make_msg(kTagUp).push(out.subtree[s]));
     }
   });
@@ -253,7 +258,7 @@ PrefixSums tree_prefix_sum(ncc::Network& net, const TreeOverlay& tree,
       have = true;
     } else {
       for (const auto m : ctx.inbox_view()) {
-        if (m.tag() == kTagDown && m.src() == nd.parent) {
+        if (m.tag() == kTagDown && m.src_ref() == nd.parent) {
           base = m.word(0);
           have = true;
         }
@@ -262,9 +267,11 @@ PrefixSums tree_prefix_sum(ncc::Network& net, const TreeOverlay& tree,
     if (!have) return;
     got_base[s] = 1;
     out.exclusive[s] = base + left_sum[s];
-    if (nd.left != kNoNode) ctx.send1(nd.left, kTagDown, base);
-    if (nd.right != kNoNode)
-      ctx.send1(nd.right, kTagDown, base + left_sum[s] + value[s]);
+    if (nd.left) ctx.send(nd.left, ncc::make_msg(kTagDown).push(base));
+    if (nd.right) {
+      ctx.send(nd.right,
+               ncc::make_msg(kTagDown).push(base + left_sum[s] + value[s]));
+    }
   });
   for (Slot s = 0; s < n; ++s)
     DGR_CHECK_MSG(!tree.member(s) || got_base[s],
@@ -284,15 +291,15 @@ TreeOverlay build_warmup_tree(ncc::Network& net, const PathOverlay& path) {
   const std::size_t members = member_count(path);
   if (members == 0) return tree;
 
-  std::vector<NodeId> cur_pred = path.pred;
-  std::vector<NodeId> cur_succ = path.succ;
-  std::vector<NodeId> gp(n, kNoNode), gs(n, kNoNode);
+  std::vector<NodeRef> cur_pred = path.pred;
+  std::vector<NodeRef> cur_succ = path.succ;
+  std::vector<NodeRef> gp(n), gs(n);
   std::vector<std::uint8_t> active(n, 0);
   for (Slot s = 0; s < n; ++s) {
     if (path.member(s)) {
       active[s] = 1;
       tree.nodes[s].in_tree = true;
-      if (path.pred[s] == kNoNode) tree.root = s;
+      if (!path.pred[s]) tree.root = s;
     }
   }
 
@@ -309,13 +316,13 @@ TreeOverlay build_warmup_tree(ncc::Network& net, const PathOverlay& path) {
     net.round_active([&](ncc::Ctx& ctx) {
       const Slot s = ctx.slot();
       if (!active[s]) return;
-      gp[s] = gs[s] = kNoNode;
+      gp[s] = gs[s] = NodeRef{};
       auto m = ncc::make_msg(kTagWarmNoN);
       // Always two words; kNoNode is encoded as a plain word.
-      if (cur_pred[s] != kNoNode) m.push_id(cur_pred[s]); else m.push(kNoNode);
-      if (cur_succ[s] != kNoNode) m.push_id(cur_succ[s]); else m.push(kNoNode);
-      if (cur_pred[s] != kNoNode) ctx.send(cur_pred[s], m);
-      if (cur_succ[s] != kNoNode) ctx.send(cur_succ[s], m);
+      if (cur_pred[s]) ctx.push_id(m, cur_pred[s]); else m.push(kNoNode);
+      if (cur_succ[s]) ctx.push_id(m, cur_succ[s]); else m.push(kNoNode);
+      if (cur_pred[s]) ctx.send(cur_pred[s], m);
+      if (cur_succ[s]) ctx.send(cur_succ[s], m);
       ctx.wake();
     });
     // Round B: heads adopt children and retire; everyone rewires.
@@ -324,16 +331,20 @@ TreeOverlay build_warmup_tree(ncc::Network& net, const PathOverlay& path) {
       if (!active[s]) return;
       for (const auto m : ctx.inbox_view()) {
         if (m.tag() != kTagWarmNoN) continue;
-        if (m.src() == cur_pred[s]) gp[s] = static_cast<NodeId>(m.word(0));
-        else if (m.src() == cur_succ[s]) gs[s] = static_cast<NodeId>(m.word(1));
+        // A plain word 0 stands for "none".
+        auto link = [&m](std::size_t i) {
+          return (m.id_mask() & (1u << i)) ? m.ref_word(i) : NodeRef{};
+        };
+        if (m.src_ref() == cur_pred[s]) gp[s] = link(0);
+        else if (m.src_ref() == cur_succ[s]) gs[s] = link(1);
       }
-      if (cur_pred[s] == kNoNode) {
+      if (!cur_pred[s]) {
         // Head: left child = successor, right child = grand-successor.
-        if (cur_succ[s] != kNoNode) {
+        if (cur_succ[s]) {
           tree.nodes[s].left = cur_succ[s];
           ctx.send(cur_succ[s], ncc::make_msg(kTagWarmLeft));
         }
-        if (gs[s] != kNoNode) {
+        if (gs[s]) {
           tree.nodes[s].right = gs[s];
           ctx.send(gs[s], ncc::make_msg(kTagWarmRight));
         }
@@ -350,8 +361,8 @@ TreeOverlay build_warmup_tree(ncc::Network& net, const PathOverlay& path) {
       if (!active[s]) return;
       for (const auto m : ctx.inbox_view()) {
         if (m.tag() == kTagWarmLeft || m.tag() == kTagWarmRight) {
-          tree.nodes[s].parent = m.src();
-          cur_pred[s] = kNoNode;
+          tree.nodes[s].parent = m.src_ref();
+          cur_pred[s] = NodeRef{};
         }
       }
       ctx.wake();
@@ -361,9 +372,8 @@ TreeOverlay build_warmup_tree(ncc::Network& net, const PathOverlay& path) {
   std::function<int(Slot)> depth_of = [&](Slot s) -> int {
     const auto& nd = tree.nodes[s];
     int d = 1;
-    if (nd.left != kNoNode) d = std::max(d, 1 + depth_of(net.slot_of(nd.left)));
-    if (nd.right != kNoNode)
-      d = std::max(d, 1 + depth_of(net.slot_of(nd.right)));
+    if (nd.left) d = std::max(d, 1 + depth_of(net.slot_of(nd.left)));
+    if (nd.right) d = std::max(d, 1 + depth_of(net.slot_of(nd.right)));
     return d;
   };
   if (tree.root != kNoSlot) tree.height = depth_of(tree.root);
@@ -394,15 +404,15 @@ bool validate_tree(const ncc::Network& net, const TreeOverlay& tree,
       return;
     }
     const auto& nd = tree.nodes[s];
-    if (nd.left != kNoNode) {
+    if (nd.left) {
       const Slot l = net.slot_of(nd.left);
-      if (tree.nodes[l].parent != net.id_of(s)) ok = false;
+      if (tree.nodes[l].parent != net.ref_of(s)) ok = false;
       walk(l, depth + 1);
     }
     inorder_slots.push_back(s);
-    if (nd.right != kNoNode) {
+    if (nd.right) {
       const Slot r = net.slot_of(nd.right);
-      if (tree.nodes[r].parent != net.id_of(s)) ok = false;
+      if (tree.nodes[r].parent != net.ref_of(s)) ok = false;
       walk(r, depth + 1);
     }
   };

@@ -25,9 +25,9 @@ namespace dgr::prim {
 struct TreeOverlay {
   struct Node {
     bool in_tree = false;
-    NodeId parent = kNoNode;
-    NodeId left = kNoNode;
-    NodeId right = kNoNode;
+    NodeRef parent;  ///< null at the root
+    NodeRef left;    ///< null when absent
+    NodeRef right;   ///< null when absent
     std::uint64_t subtree_size = 0;
     Position inorder = kNoPosition;
   };

@@ -11,6 +11,21 @@ enum Tag : std::uint32_t {
   kTagLeaderUp = 0x52,  // word0 = leader's token climbing to the root
   kTagArgmax = 0x53,    // word0 = best key, word1 = best node's ID
 };
+
+// One-word wave payload. An ID value travels as an ID word: the node that
+// starts the wave holds it as a bare number (one lookup at the send), and
+// every relay forwards the handle it received, which needs none.
+[[gnu::always_inline]] inline ncc::Message value_msg(
+    const ncc::Ctx& ctx, std::uint32_t tag, std::uint64_t v, bool value_is_id,
+    NodeRef v_ref) {
+  ncc::Message m = ncc::make_msg(tag);
+  if (!value_is_id) return m.push(v);
+  if (v_ref) return ctx.push_id(m, v_ref);
+  return m.push_id(v);
+}
+NodeRef value_ref(const ncc::MessageRef& m, bool value_is_id) {
+  return value_is_id ? m.ref_word(0) : NodeRef{};
+}
 }  // namespace
 
 std::vector<std::uint64_t> broadcast_from_root(ncc::Network& net,
@@ -24,16 +39,11 @@ std::vector<std::uint64_t> broadcast_from_root(ncc::Network& net,
   const std::size_t members = tree.size();
   if (members == 0) return out;
 
-  // One-word wave payloads ride the wire-level fast path (Ctx::send1);
-  // transcripts are identical to the Message path by contract.
-  auto forward = [&](ncc::Ctx& ctx, std::uint64_t v) {
+  auto forward = [&](ncc::Ctx& ctx, std::uint64_t v, NodeRef v_ref) {
     const auto& nd = tree.nodes[ctx.slot()];
-    auto fwd = [&](ncc::NodeId to) {
-      if (value_is_id) ctx.send1_id(to, kTagBcast, v);
-      else ctx.send1(to, kTagBcast, v);
-    };
-    if (nd.left != kNoNode) fwd(nd.left);
-    if (nd.right != kNoNode) fwd(nd.right);
+    const ncc::Message m = value_msg(ctx, kTagBcast, v, value_is_id, v_ref);
+    if (nd.left) ctx.send(nd.left, m);
+    if (nd.right) ctx.send(nd.right, m);
   };
 
   // The wave: the root starts; every other member joins the frontier the
@@ -49,14 +59,15 @@ std::vector<std::uint64_t> broadcast_from_root(ncc::Network& net,
     if (s == tree.root) {
       out[s] = value;
       got[s] = 1;
-      forward(ctx, value);
+      forward(ctx, value, NodeRef{});
       return;
     }
     for (const auto m : ctx.inbox_view()) {
-      if (m.tag() != kTagBcast || m.src() != tree.nodes[s].parent) continue;
+      if (m.tag() != kTagBcast || m.src_ref() != tree.nodes[s].parent)
+        continue;
       out[s] = m.word(0);
       got[s] = 1;
-      forward(ctx, out[s]);
+      forward(ctx, out[s], value_ref(m, value_is_id));
       break;
     }
   });
@@ -84,6 +95,7 @@ std::vector<std::uint64_t> broadcast_from_leader(ncc::Network& net,
       const Slot s = ctx.slot();
       if (!tree.member(s)) return;
       std::uint64_t v = 0;
+      NodeRef v_ref;
       bool have = false;
       if (s == leader && !leader_sent) {
         v = value;
@@ -93,6 +105,7 @@ std::vector<std::uint64_t> broadcast_from_leader(ncc::Network& net,
       for (const auto m : ctx.inbox_view()) {
         if (m.tag() == kTagLeaderUp) {
           v = m.word(0);
+          v_ref = value_ref(m, value_is_id);
           have = true;
         }
       }
@@ -102,8 +115,8 @@ std::vector<std::uint64_t> broadcast_from_leader(ncc::Network& net,
         root_has = true;  // workers sync on the round barrier before reads
         return;
       }
-      if (value_is_id) ctx.send1_id(tree.nodes[s].parent, kTagLeaderUp, v);
-      else ctx.send1(tree.nodes[s].parent, kTagLeaderUp, v);
+      ctx.send(tree.nodes[s].parent,
+               value_msg(ctx, kTagLeaderUp, v, value_is_id, v_ref));
     });
   }
   return broadcast_from_root(net, tree, at_root, value_is_id);
@@ -120,16 +133,17 @@ ArgmaxResult aggregate_argmax(ncc::Network& net, const TreeOverlay& tree,
 
   struct Best {
     std::uint64_t key = 0;
-    NodeId id = kNoNode;
+    NodeId id = kNoNode;  // tie-break
+    NodeRef ref;          // forwarded with the key
   };
   std::vector<Best> best(n);
   std::vector<std::uint8_t> left_done(n, 0), right_done(n, 0), sent(n, 0);
   net.clear_active();
   for (Slot s = 0; s < n; ++s) {
     if (!tree.member(s)) continue;
-    best[s] = {key[s], net.id_of(s)};
-    if (tree.nodes[s].left == kNoNode) left_done[s] = 1;
-    if (tree.nodes[s].right == kNoNode) right_done[s] = 1;
+    best[s] = {key[s], net.id_of(s), net.ref_of(s)};
+    if (!tree.nodes[s].left) left_done[s] = 1;
+    if (!tree.nodes[s].right) right_done[s] = 1;
     if (left_done[s] && right_done[s]) net.wake(s);  // leaves start
   }
   auto better = [](const Best& a, const Best& b) {
@@ -143,18 +157,17 @@ ArgmaxResult aggregate_argmax(ncc::Network& net, const TreeOverlay& tree,
     const auto& nd = tree.nodes[s];
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != kTagArgmax) continue;
-      const Best cand{m.word(0), m.id_word(1)};
-      if (m.src() == nd.left) left_done[s] = 1;
-      else if (m.src() == nd.right) right_done[s] = 1;
+      const Best cand{m.word(0), m.id_word(1), m.ref_word(1)};
+      if (m.src_ref() == nd.left) left_done[s] = 1;
+      else if (m.src_ref() == nd.right) right_done[s] = 1;
       else continue;
       if (better(cand, best[s])) best[s] = cand;
     }
     if (left_done[s] && right_done[s]) {
       sent[s] = 1;
-      if (nd.parent != kNoNode) {
-        ctx.send(nd.parent, ncc::make_msg(kTagArgmax)
-                                .push(best[s].key)
-                                .push_id(best[s].id));
+      if (nd.parent) {
+        ncc::Message msg = ncc::make_msg(kTagArgmax).push(best[s].key);
+        ctx.send(nd.parent, ctx.push_id(msg, best[s].ref));
       }
     }
   });

@@ -123,8 +123,8 @@ std::uint64_t aggregate_to_root(ncc::Network& net, const TreeOverlay& tree,
   for (Slot s = 0; s < n; ++s) {
     if (!tree.member(s)) continue;
     partial[s] = value[s];
-    if (tree.nodes[s].left == kNoNode) left_done[s] = 1;
-    if (tree.nodes[s].right == kNoNode) right_done[s] = 1;
+    if (!tree.nodes[s].left) left_done[s] = 1;
+    if (!tree.nodes[s].right) right_done[s] = 1;
     // Leaves know they start the wave (their state says "all children
     // reported"); the referee wake is the in-model self-start.
     if (left_done[s] && right_done[s]) net.wake(s);
@@ -136,17 +136,17 @@ std::uint64_t aggregate_to_root(ncc::Network& net, const TreeOverlay& tree,
     const auto& nd = tree.nodes[s];
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != detail::kTagAgg) continue;
-      if (m.src() == nd.left) {
+      if (m.src_ref() == nd.left) {
         partial[s] = f(partial[s], m.word(0));
         left_done[s] = 1;
-      } else if (m.src() == nd.right) {
+      } else if (m.src_ref() == nd.right) {
         partial[s] = f(partial[s], m.word(0));
         right_done[s] = 1;
       }
     }
     if (left_done[s] && right_done[s]) {
       sent[s] = 1;
-      if (nd.parent != kNoNode)
+      if (nd.parent)
         ctx.send(nd.parent, ncc::make_msg(detail::kTagAgg).push(partial[s]));
     }
   });

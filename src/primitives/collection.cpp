@@ -31,10 +31,6 @@ std::vector<std::uint64_t> global_collect(
   queues.reserve(n);
   for (std::size_t s = 0; s < n; ++s) queues.emplace_back(kTagCollect);
   const NodeId leader_id = net.id_of(leader);
-  for (Slot s = 0; s < n; ++s) {
-    if (!has[s]) continue;
-    queues[s].push(leader_id, ncc::make_msg(kTagCollect).push(token[s]));
-  }
 
   // Frontier: token holders seed it (they know they contribute), receipt
   // keeps the leader on it, and queue backlog / in-flight sends hold a
@@ -46,8 +42,15 @@ std::vector<std::uint64_t> global_collect(
   // Only the leader's body appends, and a slot's body runs on exactly one
   // worker per round, so no synchronization is needed.
   std::vector<std::uint64_t> collected;
+  const std::uint64_t start = net.stats().rounds;
   net.run_active([&](ncc::Ctx& ctx) {
     const Slot s = ctx.slot();
+    // First round: each holder queues its token for the leader, whose ID
+    // the broadcast taught it (one lookup per holder).
+    if (net.stats().rounds == start && has[s]) {
+      queues[s].push(ctx.ref_of(leader_id),
+                     ncc::make_msg(kTagCollect).push(token[s]));
+    }
     if (s == leader) {
       for (const auto m : ctx.inbox_view()) {
         if (m.tag() != kTagCollect) continue;
@@ -70,14 +73,6 @@ std::uint64_t direct_exchange(ncc::Network& net,
   std::vector<ncc::SendQueue> queues;
   queues.reserve(n);
   for (std::size_t s = 0; s < n; ++s) queues.emplace_back(kTagDirect);
-  for (Slot s = 0; s < n; ++s) {
-    for (const auto& d : batch[s]) {
-      auto m = ncc::make_msg(kTagDirect);
-      if (d.payload_is_id) m.push_id(d.payload); else m.push(d.payload);
-      m.push(d.user_tag);
-      queues[s].push(d.dst, m);
-    }
-  }
 
   // Frontier: senders seed it, receipt carries delivery, backlog holds a
   // sender on it until its batch is known-delivered.
@@ -85,8 +80,19 @@ std::uint64_t direct_exchange(ncc::Network& net,
   for (Slot s = 0; s < n; ++s) {
     if (!batch[s].empty()) net.wake(s);
   }
+  const std::uint64_t start = net.stats().rounds;
   return net.run_active([&](ncc::Ctx& ctx) {
     const Slot s = ctx.slot();
+    // First round: the batch names destinations by ID; resolve each once
+    // and queue the whole batch.
+    if (net.stats().rounds == start) {
+      for (const auto& d : batch[s]) {
+        auto m = ncc::make_msg(kTagDirect);
+        if (d.payload_is_id) m.push_id(d.payload); else m.push(d.payload);
+        m.push(d.user_tag);
+        queues[s].push(ctx.ref_of(d.dst), m);
+      }
+    }
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != kTagDirect) continue;
       on_deliver(s, m.src(), static_cast<std::uint32_t>(m.word(1)), m.word(0));

@@ -30,9 +30,9 @@ TreeOverlay common_knowledge_tree(const ncc::Network& net) {
     const Slot s = by_id[r];
     auto& nd = tree.nodes[s];
     nd.in_tree = true;
-    if (r > 0) nd.parent = net.id_of(by_id[(r - 1) / 2]);
-    if (2 * r + 1 < n) nd.left = net.id_of(by_id[2 * r + 1]);
-    if (2 * r + 2 < n) nd.right = net.id_of(by_id[2 * r + 2]);
+    if (r > 0) nd.parent = net.ref_of(by_id[(r - 1) / 2]);
+    if (2 * r + 1 < n) nd.left = net.ref_of(by_id[2 * r + 1]);
+    if (2 * r + 2 < n) nd.right = net.ref_of(by_id[2 * r + 2]);
   }
   tree.root = by_id[0];
   int h = 0;
@@ -46,16 +46,16 @@ PathOverlay common_knowledge_path(const ncc::Network& net) {
   const std::size_t n = net.n();
   const auto by_id = slots_by_id(net);
   PathOverlay path;
-  path.pred.assign(n, kNoNode);
-  path.succ.assign(n, kNoNode);
+  path.pred.assign(n, NodeRef{});
+  path.succ.assign(n, NodeRef{});
   path.pos.assign(n, kNoPosition);
   path.is_member.assign(n, 1);
   path.order = by_id;
   for (std::size_t i = 0; i < n; ++i) {
     const Slot s = by_id[i];
     path.pos[s] = static_cast<Position>(i);
-    if (i > 0) path.pred[s] = net.id_of(by_id[i - 1]);
-    if (i + 1 < n) path.succ[s] = net.id_of(by_id[i + 1]);
+    if (i > 0) path.pred[s] = net.ref_of(by_id[i - 1]);
+    if (i + 1 < n) path.succ[s] = net.ref_of(by_id[i + 1]);
   }
   return path;
 }

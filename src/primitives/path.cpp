@@ -12,22 +12,22 @@ PathOverlay undirect_initial_path(ncc::Network& net) {
   ncc::ScopedRounds scope(net, "path/undirect");
   const std::size_t n = net.n();
   PathOverlay path;
-  path.pred.assign(n, kNoNode);
-  path.succ.assign(n, kNoNode);
+  path.pred.assign(n, NodeRef{});
+  path.succ.assign(n, NodeRef{});
   path.pos.assign(n, kNoPosition);
   path.is_member.assign(n, 1);
   path.order = net.path_order();
 
   // Round 1: every node introduces itself to its initial successor.
   net.round([&](ncc::Ctx& ctx) {
-    const NodeId s = ctx.initial_successor();
+    const NodeRef s = ctx.initial_successor();
     path.succ[ctx.slot()] = s;
-    if (s != kNoNode) ctx.send(s, ncc::make_msg(kTagUndirect));
+    if (s) ctx.send(s, ncc::make_msg(kTagUndirect));
   });
   // Round 2 (processing only): learn the predecessor from the inbox.
   net.round([&](ncc::Ctx& ctx) {
     for (const auto m : ctx.inbox_view()) {
-      if (m.tag() == kTagUndirect) path.pred[ctx.slot()] = m.src();
+      if (m.tag() == kTagUndirect) path.pred[ctx.slot()] = m.src_ref();
     }
   });
   return path;
@@ -37,8 +37,8 @@ PathOverlay referee_path(const ncc::Network& net,
                          const std::vector<Slot>& order) {
   PathOverlay path;
   const std::size_t n = net.n();
-  path.pred.assign(n, kNoNode);
-  path.succ.assign(n, kNoNode);
+  path.pred.assign(n, NodeRef{});
+  path.succ.assign(n, NodeRef{});
   path.pos.assign(n, kNoPosition);
   path.is_member.assign(n, 0);
   path.order = order;
@@ -51,9 +51,9 @@ bool validate_path(const ncc::Network& net, const PathOverlay& path) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     const Slot s = order[i];
     if (!path.member(s)) return false;
-    const NodeId want_pred = i == 0 ? kNoNode : net.id_of(order[i - 1]);
-    const NodeId want_succ =
-        i + 1 == order.size() ? kNoNode : net.id_of(order[i + 1]);
+    const NodeRef want_pred = i == 0 ? NodeRef{} : net.ref_of(order[i - 1]);
+    const NodeRef want_succ =
+        i + 1 == order.size() ? NodeRef{} : net.ref_of(order[i + 1]);
     if (path.pred[s] != want_pred) return false;
     if (path.succ[s] != want_succ) return false;
     if (path.pos[s] != kNoPosition &&

@@ -2,7 +2,8 @@
 //
 // A PathOverlay is the distributed "linear arrangement" the paper's
 // algorithms march over: each member node knows the IDs of its predecessor
-// and successor, and (after a BBST build) its 0-based position. The overlay
+// and successor (held as NodeRef handles), and (after a BBST build) its
+// 0-based position. The overlay
 // struct stores that per-node state indexed by simulator slot, plus a
 // referee-side `order` vector used only for verification.
 #pragma once
@@ -18,13 +19,14 @@ using ncc::kNoNode;
 using ncc::kNoPosition;
 using ncc::kNoSlot;
 using ncc::NodeId;
+using ncc::NodeRef;
 using ncc::Position;
 using ncc::Slot;
 
 struct PathOverlay {
   // --- node-local state (entry s belongs to the node in slot s) ---
-  std::vector<NodeId> pred;        ///< predecessor ID (kNoNode at the head)
-  std::vector<NodeId> succ;        ///< successor ID (kNoNode at the tail)
+  std::vector<NodeRef> pred;       ///< predecessor (null at the head)
+  std::vector<NodeRef> succ;       ///< successor (null at the tail)
   std::vector<Position> pos;       ///< 0-based position; kNoPosition = unset
   std::vector<std::uint8_t> is_member;  ///< membership flag (sub-paths)
 

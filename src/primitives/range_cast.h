@@ -26,12 +26,14 @@ struct RangeCastTask {
   Position lo = 0;   ///< first target position (inclusive)
   Position hi = 0;   ///< last target position (inclusive)
   std::uint32_t user_tag = 0;
-  std::uint64_t payload = 0;
-  bool payload_is_id = false;  ///< receivers learn the payload as an ID
+  std::uint64_t payload = 0;  ///< plain payload word (unused with payload_ref)
+  /// When set, the payload is this node's ID, sent as an ID word: receivers
+  /// learn it, and every relay forwards the handle without a lookup.
+  ncc::NodeRef payload_ref;
 };
 
 /// Delivery callback: invoked once per (member-of-range, task) pair, inside
-/// that member's round body.
+/// that member's round body. `payload` is the ID for payload_ref tasks.
 using RangeDeliver =
     std::function<void(Slot receiver, std::uint32_t user_tag,
                        std::uint64_t payload)>;

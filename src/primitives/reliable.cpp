@@ -48,7 +48,7 @@ ReliableResult reliable_exchange_impl(
     // Membership-only (insert + contains); iteration never happens, so
     // hash order can't leak into the transcript. det-ok: unordered_set
     std::unordered_set<std::uint64_t> seen;  // (src slot << 32) | seq
-    std::deque<std::pair<ncc::NodeId, std::uint64_t>> acks_to_send;
+    std::deque<std::pair<ncc::NodeRef, std::uint64_t>> acks_to_send;
   };
 
   std::vector<SenderState> send_state(n);
@@ -90,13 +90,14 @@ ReliableResult reliable_exchange_impl(
         if (m.tag() == kTagData) {
           const std::uint64_t seq = m.word(2);
           const std::uint64_t key =
-              (static_cast<std::uint64_t>(net.slot_of(m.src())) << 32) | seq;
+              (static_cast<std::uint64_t>(net.slot_of(m.src_ref())) << 32) |
+              seq;
           if (rcv.seen.insert(key).second) {
             on_deliver(s, m.src(), static_cast<std::uint32_t>(m.word(1)),
                        m.word(0));
           }
           // Always (re-)ack — the previous ack may have been lost.
-          rcv.acks_to_send.emplace_back(m.src(), seq);
+          rcv.acks_to_send.emplace_back(m.src_ref(), seq);
         } else if (m.tag() == kTagAck) {
           if (snd.unacked.erase(m.word(0)) > 0) acked_total.fetch_add(1);
         }
@@ -106,7 +107,7 @@ ReliableResult reliable_exchange_impl(
       while (!rcv.acks_to_send.empty() && ctx.sends_left() > 0) {
         const auto [dst, seq] = rcv.acks_to_send.front();
         rcv.acks_to_send.pop_front();
-        ctx.send1(dst, kTagAck, seq);
+        ctx.send(dst, ncc::make_msg(kTagAck).push(seq));
       }
 
       // Retransmit timed-out entries (bounces and drops look identical);

@@ -21,7 +21,7 @@ SkipOverlay build_skiplinks(ncc::Network& net, const PathOverlay& path) {
   SkipOverlay skip;
   const int levels = std::max(1, ceil_log2(std::max<std::size_t>(members, 2)));
   skip.fwd.assign(static_cast<std::size_t>(levels),
-                  std::vector<NodeId>(n, kNoNode));
+                  std::vector<NodeRef>(n));
   skip.bwd = skip.fwd;
   if (members == 0) return skip;
 
@@ -46,16 +46,17 @@ SkipOverlay build_skiplinks(ncc::Network& net, const PathOverlay& path) {
       const Slot s = ctx.slot();
       if (!path.member(s)) return;
       for (const auto m : ctx.inbox_view()) {
-        if (m.tag() == kTagSkipFwd) skip.fwd[k - 1][s] = m.id_word(0);
-        else if (m.tag() == kTagSkipBwd) skip.bwd[k - 1][s] = m.id_word(0);
+        if (m.tag() == kTagSkipFwd) skip.fwd[k - 1][s] = m.ref_word(0);
+        else if (m.tag() == kTagSkipBwd) skip.bwd[k - 1][s] = m.ref_word(0);
       }
       if (k >= levels) return;  // final iteration only drains
-      const NodeId ahead = skip.fwd[k - 1][s];
-      const NodeId behind = skip.bwd[k - 1][s];
-      if (behind != kNoNode && ahead != kNoNode)
-        ctx.send1_id(behind, kTagSkipFwd, ahead);
-      if (ahead != kNoNode && behind != kNoNode)
-        ctx.send1_id(ahead, kTagSkipBwd, behind);
+      const NodeRef ahead = skip.fwd[k - 1][s];
+      const NodeRef behind = skip.bwd[k - 1][s];
+      if (!behind || !ahead) return;
+      ncc::Message to_behind = ncc::make_msg(kTagSkipFwd);
+      ctx.send(behind, ctx.push_id(to_behind, ahead));
+      ncc::Message to_ahead = ncc::make_msg(kTagSkipBwd);
+      ctx.send(ahead, ctx.push_id(to_ahead, behind));
     });
   }
   return skip;
@@ -69,9 +70,9 @@ bool validate_skiplinks(const ncc::Network& net, const PathOverlay& path,
     const std::size_t d = std::size_t{1} << k;
     for (std::size_t i = 0; i < len; ++i) {
       const Slot s = order[i];
-      const NodeId want_fwd =
-          i + d < len ? net.id_of(order[i + d]) : kNoNode;
-      const NodeId want_bwd = i >= d ? net.id_of(order[i - d]) : kNoNode;
+      const NodeRef want_fwd =
+          i + d < len ? net.ref_of(order[i + d]) : NodeRef{};
+      const NodeRef want_bwd = i >= d ? net.ref_of(order[i - d]) : NodeRef{};
       if (skip.fwd[static_cast<std::size_t>(k)][s] != want_fwd) return false;
       if (skip.bwd[static_cast<std::size_t>(k)][s] != want_bwd) return false;
     }

@@ -17,10 +17,11 @@
 namespace dgr::prim {
 
 struct SkipOverlay {
-  /// fwd[k][s] = ID of the member 2^k positions after s (kNoNode if none);
-  /// bwd[k][s] symmetrically behind. Level count = max(1, ceil_log2(len)).
-  std::vector<std::vector<NodeId>> fwd;
-  std::vector<std::vector<NodeId>> bwd;
+  /// fwd[k][s] = the member 2^k positions after s (null if none); bwd[k][s]
+  /// symmetrically behind. Level count = max(1, ceil_log2(len)). Handles
+  /// are 4 bytes, so a level costs 4n bytes per direction.
+  std::vector<std::vector<NodeRef>> fwd;
+  std::vector<std::vector<NodeRef>> bwd;
 
   int levels() const { return static_cast<int>(fwd.size()); }
 };

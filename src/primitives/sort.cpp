@@ -9,9 +9,9 @@
 // entry and the level's link arrays out of the per-node body. The
 // compare-exchange itself is branch-free: a node takes the other record
 // when it is the lower end and the other record comes first, or the upper
-// end and it does not. A node forwards either the record it kept or the one
-// it just received, so its send-side forwarded-ID check hits the
-// two-entry verified-ID cache (Knowledge::cached_slot) in both cases.
+// end and it does not. A record holds its owner as a NodeRef handle next to
+// the ID: the ID breaks key ties, and the handle goes out with the record,
+// so neither the partner send nor the forwarded ID word looks anything up.
 #include "primitives/sort.h"
 
 #include <algorithm>
@@ -31,8 +31,22 @@ enum Tag : std::uint32_t {
 
 struct Record {
   std::uint64_t key = 0;
-  NodeId id = kNoNode;
+  NodeId id = kNoNode;  // the owner's ID (tie-break)
+  NodeRef ref;          // the owner's handle (addressing)
 };
+
+// A record on the wire: words [key, id], the owner's slot in the trailer.
+// Forced inline like Exchange's members: both sit in the per-stage body.
+[[gnu::always_inline]] inline Record record_of(const ncc::MessageRef& m) {
+  return {m.word(0), m.id_word(1), m.ref_word(1)};
+}
+[[gnu::always_inline]] inline ncc::Message record_msg(const ncc::Ctx& ctx,
+                                                      std::uint32_t tag,
+                                                      const Record& r) {
+  ncc::Message m = ncc::make_msg(tag).push(r.key);
+  ctx.push_id(m, r.ref);
+  return m;
+}
 
 // The working state and compare-exchange of the sorting network.
 // rec[s] is the (key, id) record currently held by the node at slot s; the
@@ -53,7 +67,7 @@ struct Exchange {
         pending_role(net.n(), 0),
         flip(descending ? ~std::uint64_t{0} : 0) {
     for (Slot s = 0; s < net.n(); ++s) {
-      if (path.member(s)) rec[s] = {key[s], net.id_of(s)};
+      if (path.member(s)) rec[s] = {key[s], net.id_of(s), net.ref_of(s)};
     }
   }
 
@@ -72,22 +86,22 @@ struct Exchange {
     Record& mine = rec[s];
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != kTagSortRec) continue;
-      const Record other{m.word(0), m.id_word(1)};
+      const Record other = record_of(m);
       const bool take = role != 0 && ((role == 1) == first_of(other, mine));
       mine.key = take ? other.key : mine.key;
       mine.id = take ? other.id : mine.id;
+      mine.ref = take ? other.ref : mine.ref;
     }
     pending_role[s] = 0;
   }
 
   // Take comparator end `role` at this stage and show the partner my record.
   [[gnu::always_inline]] void send(ncc::Ctx& ctx, std::uint8_t role,
-                                   NodeId partner) {
+                                   NodeRef partner) {
     const Slot s = ctx.slot();
     pending_role[s] = role;
-    DGR_CHECK(partner != kNoNode);
-    ctx.send(partner,
-             ncc::make_msg(kTagSortRec).push(rec[s].key).push_id(rec[s].id));
+    DGR_CHECK(partner);
+    ctx.send(partner, record_msg(ctx, kTagSortRec, rec[s]));
   }
 };
 
@@ -96,8 +110,8 @@ struct Exchange {
 SortResult empty_result(ncc::Network& net, const PathOverlay& path) {
   const std::size_t n = net.n();
   SortResult out;
-  out.path.pred.assign(n, kNoNode);
-  out.path.succ.assign(n, kNoNode);
+  out.path.pred.assign(n, NodeRef{});
+  out.path.succ.assign(n, NodeRef{});
   out.path.pos.assign(n, kNoPosition);
   out.path.is_member = path.is_member;
   out.path.order.assign(path.order.size(), kNoSlot);
@@ -145,8 +159,8 @@ SortResult distributed_sort(ncc::Network& net, const PathOverlay& path,
   // counting-sort lists, and frontier bookkeeping all scale with the traffic.
   wake_members(net, path);
   for (const BatcherStage st : stages) {
-    const NodeId* const fwd = skip.fwd[st.level].data();
-    const NodeId* const bwd = skip.bwd[st.level].data();
+    const NodeRef* const fwd = skip.fwd[st.level].data();
+    const NodeRef* const bwd = skip.bwd[st.level].data();
     net.round_active([&](ncc::Ctx& ctx) {
       const Slot s = ctx.slot();
       if (!path.member(s)) return;
@@ -179,9 +193,9 @@ void finish_rewire(ncc::Network& net, const PathOverlay& path,
   net.round_active([&](ncc::Ctx& ctx) {
     const Slot s = ctx.slot();
     if (!path.member(s)) return;
-    auto m = ncc::make_msg(kTagNeighRec).push(rec[s].key).push_id(rec[s].id);
-    if (path.pred[s] != kNoNode) ctx.send(path.pred[s], m);
-    if (path.succ[s] != kNoNode) ctx.send(path.succ[s], m);
+    const ncc::Message m = record_msg(ctx, kTagNeighRec, rec[s]);
+    if (path.pred[s]) ctx.send(path.pred[s], m);
+    if (path.succ[s]) ctx.send(path.succ[s], m);
     ctx.wake();  // R2 runs for every member, even neighbourless singletons
   });
   net.round_active([&](ncc::Ctx& ctx) {
@@ -189,28 +203,28 @@ void finish_rewire(ncc::Network& net, const PathOverlay& path,
     if (!path.member(s)) return;
     for (const auto m : ctx.inbox_view()) {
       if (m.tag() != kTagNeighRec) continue;
-      const Record r{m.word(0), m.id_word(1)};
-      if (m.src() == path.pred[s]) nb_pred[s] = r;
-      else if (m.src() == path.succ[s]) nb_succ[s] = r;
+      const Record r = record_of(m);
+      if (m.src_ref() == path.pred[s]) nb_pred[s] = r;
+      else if (m.src_ref() == path.succ[s]) nb_succ[s] = r;
     }
     // Tell the owner of my record its rank and sorted-path neighbours.
     const auto rank = static_cast<std::uint64_t>(path.pos[s]);
     auto m = ncc::make_msg(kTagNewPos).push(rank);
     std::uint64_t flags = 0;
-    if (nb_pred[s].id != kNoNode) {
-      m.push_id(nb_pred[s].id);
+    if (nb_pred[s].ref) {
+      ctx.push_id(m, nb_pred[s].ref);
       flags |= 1;
     } else {
       m.push(0);
     }
-    if (nb_succ[s].id != kNoNode) {
-      m.push_id(nb_succ[s].id);
+    if (nb_succ[s].ref) {
+      ctx.push_id(m, nb_succ[s].ref);
       flags |= 2;
     } else {
       m.push(0);
     }
     m.push(flags);
-    ctx.send(rec[s].id, m);
+    ctx.send(rec[s].ref, m);
   });
   net.round_active([&](ncc::Ctx& ctx) {
     const Slot s = ctx.slot();
@@ -219,8 +233,8 @@ void finish_rewire(ncc::Network& net, const PathOverlay& path,
       if (m.tag() != kTagNewPos) continue;
       out.path.pos[s] = static_cast<Position>(m.word(0));
       const std::uint64_t flags = m.word(3);
-      out.path.pred[s] = (flags & 1) ? m.id_word(1) : kNoNode;
-      out.path.succ[s] = (flags & 2) ? m.id_word(2) : kNoNode;
+      out.path.pred[s] = (flags & 1) ? m.ref_word(1) : NodeRef{};
+      out.path.succ[s] = (flags & 2) ? m.ref_word(2) : NodeRef{};
     }
   });
 
@@ -228,7 +242,7 @@ void finish_rewire(ncc::Network& net, const PathOverlay& path,
   for (Slot s = 0; s < n; ++s) {
     if (!path.member(s)) continue;
     const auto rank = static_cast<std::size_t>(path.pos[s]);
-    out.path.order[rank] = net.slot_of(rec[s].id);
+    out.path.order[rank] = net.slot_of(rec[s].ref);
   }
   for (const Slot s : out.path.order) DGR_CHECK(s != kNoSlot);
 

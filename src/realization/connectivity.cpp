@@ -148,8 +148,7 @@ ConnectivityResult realize_connectivity_ncc0(
       t.lo = static_cast<prim::Position>(pos + 1);
       t.hi = static_cast<prim::Position>(hi_a);
       t.user_tag = kTagConnEdge;
-      t.payload = net.id_of(s);
-      t.payload_is_id = true;
+      t.payload_ref = net.ref_of(s);
       win_tasks[s].push_back(t);
     }
     if (raw_hi > d0) {
@@ -159,8 +158,7 @@ ConnectivityResult realize_connectivity_ncc0(
       t.lo = 1;
       t.hi = static_cast<prim::Position>(wrap_hi);
       t.user_tag = kTagConnEdge;
-      t.payload = net.id_of(s);
-      t.payload_is_id = true;
+      t.payload_ref = net.ref_of(s);
       win_tasks[s].push_back(t);
     }
   }
@@ -182,8 +180,7 @@ ConnectivityResult realize_connectivity_ncc0(
     t.lo = static_cast<prim::Position>(pos - rho[s]);
     t.hi = static_cast<prim::Position>(pos - 1);
     t.user_tag = kTagConnEdge;
-    t.payload = net.id_of(s);
-    t.payload_is_id = true;
+    t.payload_ref = net.ref_of(s);
     tasks[s].push_back(t);
   }
   prim::range_multicast(net, sp, sorted.skip, tasks,

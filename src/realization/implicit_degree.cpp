@@ -77,8 +77,12 @@ ImplicitDegreeResult realize_degrees_on_path(
       8 + 4 * std::min<std::uint64_t>(2 * max_deg + 2,
                                       2 * isqrt(degree_sum) + 2);
 
-  PathOverlay cur_path = path;
-  SkipOverlay cur_skip = skip;
+  // The current sorted path and its skip overlay: the caller's until the
+  // first sort, then the latest sort's (the caller keeps its own alive, so
+  // no copy is needed).
+  prim::SortResult sorted;
+  const PathOverlay* cur_path = &path;
+  const SkipOverlay* cur_skip = &skip;
   // Node-local underflow flags ("my residual would go negative").
   std::vector<std::uint64_t> underflow(n, 0);
   // Per-phase scratch, hoisted out of the phase loop: each phase rewrites
@@ -106,13 +110,12 @@ ImplicitDegreeResult realize_degrees_on_path(
 
     // Step 1: sort by residual degree, non-increasing (retired last).
     std::fill(sort_key.begin(), sort_key.end(), 0);
-    for (const ncc::Slot s : cur_path.order)
+    for (const ncc::Slot s : cur_path->order)
       sort_key[s] = 2 * residual[s] + (has_sourced[s] ? 0 : 1);
-    prim::SortResult sorted =
-        prim::distributed_sort(net, cur_path, cur_skip, sort_key,
-                               /*descending=*/true);
-    cur_path = std::move(sorted.path);
-    cur_skip = std::move(sorted.skip);
+    sorted = prim::distributed_sort(net, *cur_path, *cur_skip, sort_key,
+                                    /*descending=*/true);
+    cur_path = &sorted.path;
+    cur_skip = &sorted.skip;
 
     // Step 2: broadcast δ = current maximum degree.
     const std::uint64_t delta = prim::aggregate_and_broadcast(
@@ -121,7 +124,7 @@ ImplicitDegreeResult realize_degrees_on_path(
 
     // Step 3: broadcast N = number of nodes with degree δ.
     std::fill(indicator.begin(), indicator.end(), 0);
-    for (const ncc::Slot s : cur_path.order)
+    for (const ncc::Slot s : cur_path->order)
       indicator[s] = residual[s] == delta ? 1 : 0;
     const std::uint64_t big_n = prim::aggregate_and_broadcast(
         net, agg_tree, indicator, prim::comb_sum);
@@ -132,8 +135,8 @@ ImplicitDegreeResult realize_degrees_on_path(
     // position α(δ+1) and members at the next δ positions. Every node
     // derives its role from its own position and the broadcast (δ, N).
     for (auto& t : tasks) t.clear();
-    for (const ncc::Slot s : cur_path.order) {
-      const auto pos = static_cast<std::uint64_t>(cur_path.pos[s]);
+    for (const ncc::Slot s : cur_path->order) {
+      const auto pos = static_cast<std::uint64_t>(cur_path->pos[s]);
       if (pos % (delta + 1) != 0) continue;
       if (pos / (delta + 1) >= q) continue;
       // Source: multicast my ID to my δ successors, then retire.
@@ -143,15 +146,14 @@ ImplicitDegreeResult realize_degrees_on_path(
       DGR_CHECK_MSG(t.hi < static_cast<prim::Position>(members),
                     "star group exceeds path (degree too large)");
       t.user_tag = kTagStarEdge;
-      t.payload = net.id_of(s);
-      t.payload_is_id = true;
+      t.payload_ref = net.ref_of(s);
       tasks[s].push_back(t);
       residual[s] = 0;  // NIL: the source is satisfied by construction
       has_sourced[s] = 1;
     }
 
     prim::range_multicast(
-        net, cur_path, cur_skip, tasks,
+        net, *cur_path, *cur_skip, tasks,
         [&](prim::Slot receiver, std::uint32_t user_tag,
             std::uint64_t payload) {
           if (user_tag != kTagStarEdge) return;

@@ -105,7 +105,7 @@ TreeRealizationResult realize_tree_caterpillar(
     // Only n == 2 reaches here (two degree-1 nodes): join the path ends.
     DGR_CHECK(n == 2);
     for (ncc::Slot s = 0; s < n; ++s)
-      if (sp.pos[s] == 0) result.stored[s].push_back(sp.succ[s]);
+      if (sp.pos[s] == 0) result.stored[s].push_back(net.id_of(sp.succ[s]));
     result.rounds = net.stats().rounds - start;
     return result;
   }
@@ -114,7 +114,7 @@ TreeRealizationResult realize_tree_caterpillar(
   // stores each spine edge; neighbours' IDs are already known from the path.
   for (ncc::Slot s = 0; s < n; ++s) {
     const auto pos = static_cast<std::uint64_t>(sp.pos[s]);
-    if (pos < k) result.stored[s].push_back(sp.succ[s]);
+    if (pos < k) result.stored[s].push_back(net.id_of(sp.succ[s]));
   }
 
   // Exclusive prefix sums of (d - 2) over non-leaf positions give each
@@ -147,8 +147,7 @@ TreeRealizationResult realize_tree_caterpillar(
     DGR_CHECK_MSG(t.hi < static_cast<prim::Position>(n),
                   "caterpillar leaf block out of range");
     t.user_tag = kTagTreeEdge;
-    t.payload = net.id_of(s);
-    t.payload_is_id = true;
+    t.payload_ref = net.ref_of(s);
     tasks[s].push_back(t);
   }
   prim::range_multicast(net, sp, setup.sorted_skip, tasks,
@@ -210,8 +209,7 @@ TreeRealizationResult realize_tree_greedy(
     DGR_CHECK_MSG(t.hi < static_cast<prim::Position>(n),
                   "greedy child block out of range");
     t.user_tag = kTagTreeEdge;
-    t.payload = net.id_of(s);
-    t.payload_is_id = true;
+    t.payload_ref = net.ref_of(s);
     tasks[s].push_back(t);
   }
   prim::range_multicast(net, sp, setup.sorted_skip, tasks,

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,14 @@ namespace dgr::serve {
 enum class Mode : std::uint8_t {
   kExact,     ///< realize exactly, or report the sequence non-graphic
   kEnvelope,  ///< realize an upper envelope D' >= D, sum(D') <= 2 sum(D)
+};
+
+/// A request the service cannot serve (an empty degree sequence). The
+/// service reports it through the request's future, never by throwing on
+/// the caller's thread.
+class InvalidRequest : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
 };
 
 /// One realization request. `degrees` may arrive in any order.

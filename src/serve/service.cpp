@@ -107,11 +107,21 @@ RealizationService::~RealizationService() {
 
 std::future<RealizationService::Result> RealizationService::submit(
     Request req) {
-  DGR_CHECK_MSG(!req.degrees.empty(), "empty degree sequence");
-  CacheKey key = key_of(req);
-
   std::promise<Result> promise;
   std::future<Result> future = promise.get_future();
+  if (req.degrees.empty()) {
+    {
+      std::scoped_lock lk(mu_);
+      ++stats_.submitted;
+      ++stats_.completed;
+    }
+    serve_metrics().submitted.add(1);
+    serve_metrics().completed.add(1);
+    promise.set_exception(
+        std::make_exception_ptr(InvalidRequest("empty degree sequence")));
+    return future;
+  }
+  CacheKey key = key_of(req);
 
   // Submit-time probe: a hit never touches the queue at all.
   const bool timing = obs::Registry::timing_enabled();

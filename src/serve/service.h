@@ -87,8 +87,8 @@ class RealizationService {
   RealizationService& operator=(const RealizationService&) = delete;
 
   /// Submit one request; the future resolves to the (cached or computed)
-  /// realization. Blocks while the admission queue is full. Throws
-  /// CheckError for an empty degree sequence.
+  /// realization. Blocks while the admission queue is full. An empty degree
+  /// sequence fails the future with InvalidRequest.
   std::future<Result> submit(Request req);
 
   ServiceStats stats() const;

@@ -106,10 +106,12 @@ std::uint64_t wl_bbst(ncc::Network& net) {
   EXPECT_TRUE(prim::validate_tree(net, warm, path, false));
   std::uint64_t acc = 1;
   for (Slot s = 0; s < net.n(); ++s) {
-    acc = hash_mix(acc, tree.nodes[s].parent, tree.nodes[s].left);
-    acc = hash_mix(acc, tree.nodes[s].right,
+    acc = hash_mix(acc, net.id_of(tree.nodes[s].parent),
+                   net.id_of(tree.nodes[s].left));
+    acc = hash_mix(acc, net.id_of(tree.nodes[s].right),
                    static_cast<std::uint64_t>(tree.nodes[s].inorder));
-    acc = hash_mix(acc, warm.nodes[s].parent, warm.nodes[s].left);
+    acc = hash_mix(acc, net.id_of(warm.nodes[s].parent),
+                   net.id_of(warm.nodes[s].left));
   }
   return acc;
 }
@@ -144,8 +146,7 @@ std::uint64_t wl_range_cast(ncc::Network& net) {
     t.hi = t.lo + members / 3;
     if (t.hi >= members) t.hi = members - 1;
     t.user_tag = 0x600u + static_cast<std::uint32_t>(i);
-    t.payload = net.id_of(s);
-    t.payload_is_id = true;
+    t.payload_ref = net.ref_of(s);
     tasks[s].push_back(t);
   }
   // on_deliver runs inside round bodies, which may execute on pool workers;
@@ -179,7 +180,7 @@ std::uint64_t wl_collection(ncc::Network& net) {
   // KT0: a node may only address IDs it knows — its tree parent qualifies.
   std::vector<std::vector<prim::DirectSend>> batch(net.n());
   for (Slot s = 0; s < net.n(); s += 5) {
-    const NodeId parent = tree.nodes[s].parent;
+    const NodeId parent = net.id_of(tree.nodes[s].parent);
     if (parent != ncc::kNoNode) batch[s].push_back({parent, 0x61u, s, false});
   }
   std::vector<std::uint64_t> per_slot(net.n(), 0);

@@ -45,9 +45,9 @@ TEST(Bbst, SubtreeSizesAreConsistent) {
   for (ncc::Slot s = 0; s < 100; ++s) {
     const auto& nd = tree.nodes[s];
     std::uint64_t child_sum = 0;
-    if (nd.left != ncc::kNoNode)
+    if (nd.left)
       child_sum += tree.nodes[net.slot_of(nd.left)].subtree_size;
-    if (nd.right != ncc::kNoNode)
+    if (nd.right)
       child_sum += tree.nodes[net.slot_of(nd.right)].subtree_size;
     EXPECT_EQ(nd.subtree_size, child_sum + 1);
     if (child_sum == 0) ++leaf_total;
@@ -64,8 +64,8 @@ TEST(Bbst, SubPathBuildsOnlyOverMembers) {
   // Restrict to the first 20 positions.
   prim::PathOverlay sub;
   const std::size_t keep = 20;
-  sub.pred.assign(50, ncc::kNoNode);
-  sub.succ.assign(50, ncc::kNoNode);
+  sub.pred.assign(50, ncc::NodeRef{});
+  sub.succ.assign(50, ncc::NodeRef{});
   sub.pos.assign(50, ncc::kNoPosition);
   sub.is_member.assign(50, 0);
   sub.order.assign(full.order.begin(), full.order.begin() + keep);
@@ -73,7 +73,7 @@ TEST(Bbst, SubPathBuildsOnlyOverMembers) {
     const ncc::Slot s = sub.order[i];
     sub.is_member[s] = 1;
     sub.pred[s] = full.pred[s];
-    sub.succ[s] = i + 1 < keep ? full.succ[s] : ncc::kNoNode;
+    sub.succ[s] = i + 1 < keep ? full.succ[s] : ncc::NodeRef{};
   }
   prim::TreeOverlay tree = prim::build_bbst(net, sub);
   EXPECT_EQ(tree.size(), keep);
@@ -110,14 +110,14 @@ TEST(Warmup, MatchesPaperFigure1Shape) {
   const prim::TreeOverlay tree = prim::build_warmup_tree(net, path);
   auto node = [&](ncc::NodeId id) { return tree.nodes[net.slot_of(id)]; };
   EXPECT_EQ(tree.root, net.slot_of(1));
-  EXPECT_EQ(node(1).left, 2u);
-  EXPECT_EQ(node(1).right, 3u);
-  EXPECT_EQ(node(2).left, 4u);
-  EXPECT_EQ(node(2).right, 6u);
-  EXPECT_EQ(node(3).left, 5u);
-  EXPECT_EQ(node(3).right, 7u);
-  EXPECT_EQ(node(4).left, 8u);
-  EXPECT_EQ(node(4).right, ncc::kNoNode);
+  EXPECT_EQ(net.id_of(node(1).left), 2u);
+  EXPECT_EQ(net.id_of(node(1).right), 3u);
+  EXPECT_EQ(net.id_of(node(2).left), 4u);
+  EXPECT_EQ(net.id_of(node(2).right), 6u);
+  EXPECT_EQ(net.id_of(node(3).left), 5u);
+  EXPECT_EQ(net.id_of(node(3).right), 7u);
+  EXPECT_EQ(net.id_of(node(4).left), 8u);
+  EXPECT_EQ(net.id_of(node(4).right), ncc::kNoNode);
 }
 
 TEST(Bbst, MatchesPaperFigure2Property) {

@@ -162,12 +162,12 @@ TEST(DirectExchange, AllNotesDelivered) {
   std::vector<std::vector<prim::DirectSend>> batch(net.n());
   std::size_t expected = 0;
   for (ncc::Slot s = 0; s < net.n(); ++s) {
-    if (path.succ[s] != ncc::kNoNode) {
-      batch[s].push_back({path.succ[s], 1, s, false});
+    if (path.succ[s]) {
+      batch[s].push_back({net.id_of(path.succ[s]), 1, s, false});
       ++expected;
     }
-    if (path.pred[s] != ncc::kNoNode) {
-      batch[s].push_back({path.pred[s], 1, s, false});
+    if (path.pred[s]) {
+      batch[s].push_back({net.id_of(path.pred[s]), 1, s, false});
       ++expected;
     }
   }

@@ -300,7 +300,7 @@ const Row kRows[] = {
          const ncc::Slot src = f.path.order[g];
          tasks[src].push_back({static_cast<prim::Position>(g + 1),
                                static_cast<prim::Position>(g + width - 1), 1,
-                               f.net.id_of(src), true});
+                               0, f.net.ref_of(src)});
        }
        return Point{range_cast_rounds(f, tasks), lg(width) + 2};
      }},
@@ -313,7 +313,7 @@ const Row kRows[] = {
          const ncc::Slot src = f.path.order[i];
          tasks[src].push_back({static_cast<prim::Position>(i - rho),
                                static_cast<prim::Position>(i - 1), 2,
-                               f.net.id_of(src), true});
+                               0, f.net.ref_of(src)});
        }
        return Point{range_cast_rounds(f, tasks),
                     static_cast<double>(rho) / f.net.capacity() + lg(n)};

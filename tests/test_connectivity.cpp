@@ -112,6 +112,24 @@ TEST(Connectivity, Ncc1StoredListsFollowTheSortedIdRule) {
   }
 }
 
+// The counter is live where bare IDs are addressed: on an NCC1 network the
+// connectivity run's explicitization notifies every stored neighbour ID,
+// and each one is looked up once.
+TEST(Connectivity, IdResolutionsCountBareIdSendsOnNcc1) {
+  ncc::Config cfg;
+  cfg.seed = 5;
+  cfg.initial = ncc::InitialKnowledge::kClique;
+  ncc::Network net(1000, cfg);
+  Rng rng(5);
+  const auto rho = graph::zipf_thresholds(net.n(), 16, 2.0, rng);
+  const auto result = realize_connectivity_ncc0(net, rho);
+  ASSERT_TRUE(result.realizable);
+  std::uint64_t stored = 0;
+  for (const auto& s : result.stored) stored += s.size();
+  EXPECT_GE(net.stats().id_resolutions, stored);
+  EXPECT_GT(stored, 0u);
+}
+
 TEST(Connectivity, TieredNetworkNcc0) {
   const std::size_t n = 40;
   const auto rho = graph::tiered_thresholds(n, 4, 12, 8, 5, 2);

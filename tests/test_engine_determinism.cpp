@@ -60,7 +60,7 @@ RunFingerprint run_lossy_crashy(unsigned threads, bool traced = false) {
       for (const auto m : ctx.inbox_view())
         in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[ctx.slot()];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
+      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.tag);
 
       const auto ids = ctx.all_ids();
       const int sends = ctx.capacity() / 2;
@@ -340,7 +340,7 @@ RunFingerprint run_active_wave(unsigned threads, bool sparse,
       for (const auto m : ctx.inbox_view())
         in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[s];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
+      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.tag);
       const bool started = r == 0 && s == 7;
       if (!started && ctx.inbox_view().empty() && ctx.bounced().empty() &&
           !woke[s]) {
@@ -414,7 +414,7 @@ RunFingerprint run_density_oscillation(unsigned threads, bool traced,
       auto& in = fp.inbox_digest[ctx.slot()];
       for (const auto m : ctx.inbox_view()) in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[ctx.slot()];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
+      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.tag);
       const auto ids = ctx.all_ids();
       // 4-round cycle: two flood rounds (dense), two trickle rounds where
       // only slot 0 sends one message (sparse).
@@ -483,16 +483,16 @@ RunFingerprint run_ncc0_learning() {
       }
       auto& bo = fp.bounce_digest[ctx.slot()];
       for (const auto& b : ctx.bounced())
-        bo = hash_mix(bo, b.dst, b.msg.words[0]);
+        bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.words[0]);
 
-      const NodeId succ = ctx.initial_successor();
-      if (succ != ncc::kNoNode) ctx.send1_id(succ, 1, ctx.id());
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (succ) ctx.send(succ, ncc::make_msg(1).push_id(ctx.id()));
       if (known.empty()) return;
       auto pick = [&] { return known[ctx.rng().below(known.size())]; };
       auto m = make_msg(2).push_id(pick()).push(r);
       if (ctx.rng().chance(0.5)) m.push_id(pick());
       ctx.send(pick(), m);
-      ctx.send1(*std::min_element(known.begin(), known.end()), 3, r);
+      ctx.send(*std::min_element(known.begin(), known.end()), ncc::make_msg(3).push(r));
     });
   }
 

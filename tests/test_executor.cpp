@@ -213,7 +213,7 @@ testing::NetFingerprint run_flood(unsigned threads, bool sparse,
       for (const auto m : ctx.inbox_view()) acc += m.word(0);
       const auto ids = ctx.all_ids();
       for (std::size_t i = 0; i < burst; ++i) {
-        ctx.send1(ids[ctx.rng().below(ids.size())], 7, acc + i);
+        ctx.send(ids[ctx.rng().below(ids.size())], ncc::make_msg(7).push(acc + i));
       }
     });
   }
@@ -238,8 +238,7 @@ testing::NetFingerprint run_wave(unsigned threads, bool sparse,
       if (!token) return;
       const auto ids = ctx.all_ids();
       for (int k = 0; k < 2; ++k) {
-        ctx.send1(ids[ctx.rng().below(ids.size())], 9,
-                  ctx.rng().below(1u << 16));
+        ctx.send(ids[ctx.rng().below(ids.size())], ncc::make_msg(9).push(ctx.rng().below(1u << 16)));
       }
     });
   }

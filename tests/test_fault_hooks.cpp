@@ -107,8 +107,8 @@ TEST(FaultHooks, TelemetrySinkMaySetDropProbability) {
   net.set_telemetry(&sink);
   for (int r = 0; r < 4; ++r) {
     net.round([](Ctx& ctx) {
-      const ncc::NodeId succ = ctx.initial_successor();
-      if (succ != ncc::kNoNode) ctx.send(succ, ncc::make_msg(1).push(7));
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (succ) ctx.send(succ, ncc::make_msg(1).push(7));
     });
   }
   net.set_telemetry(nullptr);

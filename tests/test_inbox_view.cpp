@@ -77,12 +77,12 @@ void expect_inboxes_match_log(
     for (const ncc::Bounced& b : bounced[s]) {
       std::size_t k = 0;
       while (k < log[s].size() &&
-             (gone[k] || log[s][k].dst != b.dst ||
+             (gone[k] || log[s][k].dst != net.id_of(b.dst) ||
               !same_payload(log[s][k].msg, b.msg)))
         ++k;
       ASSERT_LT(k, log[s].size())
           << "slot " << s << " got a bounce it never sent (tag " << b.msg.tag
-          << " to " << b.dst << ")";
+          << " to " << net.id_of(b.dst) << ")";
       gone[k] = 1;
     }
     for (std::size_t k = 0; k < log[s].size(); ++k)
@@ -181,9 +181,9 @@ TEST(InboxView, MatchesSenderLogOnLearningNetwork) {
       run_against_sender_log(net, 6, [&](Ctx& ctx, auto&& send) {
         // Forward my successor's ID back to it (it knows itself already):
         // mixed id-word + plain-word records with trailers.
-        const NodeId succ = ctx.initial_successor();
-        if (succ != ncc::kNoNode)
-          send(succ, make_msg(7).push_id(succ).push(ctx.slot()));
+        const ncc::NodeRef succ = ctx.initial_successor();
+        if (succ)
+          send(ctx.id_of(succ), make_msg(7).push_id(ctx.id_of(succ)).push(ctx.slot()));
       });
   EXPECT_GT(checked, 0u);
 }

@@ -178,8 +178,8 @@ TEST(Network, DeterministicTranscriptAcrossThreadCounts) {
     for (int r = 0; r < 20; ++r) {
       net.round([&](Ctx& ctx) {
         for (const auto m : ctx.inbox_view()) acc[ctx.slot()] += m.word(0);
-        const NodeId s = ctx.initial_successor();
-        if (s != ncc::kNoNode && ctx.rng().chance(0.5))
+        const ncc::NodeRef s = ctx.initial_successor();
+        if (s && ctx.rng().chance(0.5))
           ctx.send(s, make_msg(1).push(ctx.rng().below(1000)));
       });
     }
@@ -234,39 +234,11 @@ TEST(Network, AllIdsAreTheSortedSlotIds) {
   }
 }
 
-// The two-entry verified-ID cache: "last learned" (written by the learn
-// pass) and "last verified" (written by a send-side check that missed) are
-// separate, so a learn does not evict the verified entry. The slots set
-// here are absent from the table, so a hit can only come from the cache.
-TEST(Knowledge, TwoCacheEntriesResolveWithoutAProbe) {
-  ncc::Knowledge k;
-  k.init(64);
-  const NodeId learned = 1000, verified = 2000, later = 3000;
-  k.set_learned(learned, 5);
-  k.set_verified(verified, 9);
-  EXPECT_FALSE(k.knows_slot(5));
-  EXPECT_FALSE(k.knows_slot(9));
-  EXPECT_EQ(k.cached_slot(learned), 5u);
-  EXPECT_EQ(k.cached_slot(verified), 9u);
-  k.set_learned(later, 7);  // a new learn replaces only its own entry
-  EXPECT_EQ(k.cached_slot(later), 7u);
-  EXPECT_EQ(k.cached_slot(verified), 9u);
-  EXPECT_EQ(k.cached_slot(learned), ncc::kNoSlot);
-  // Whole 64-bit IDs are compared: sharing the low 32 bits is a miss.
-  const NodeId high = std::uint64_t{1} << 32;
-  EXPECT_EQ(k.cached_slot(later + high), ncc::kNoSlot);
-  EXPECT_EQ(k.cached_slot(verified + high), ncc::kNoSlot);
-  EXPECT_EQ(k.cached_slot(ncc::kNoNode), ncc::kNoSlot);
-  k.init(64);  // forgetting everything clears both entries
-  EXPECT_EQ(k.cached_slot(later), ncc::kNoSlot);
-  EXPECT_EQ(k.cached_slot(verified), ncc::kNoSlot);
-}
-
 // End to end on a learning network: node b learns a's ID from a delivery
-// (the "last learned" entry) and verifies c's ID by forwarding it (the
-// "last verified" entry). Both resolve to the right slots; an unknown real
-// ID, and IDs sharing the low 32 bits of either cached ID, never resolve,
-// and forwarding one still fails with the KT0 diagnostic and no trace.
+// and c's ID from a's forwarded word, and re-forwards c's. Both resolve to
+// the right slots; an unknown real ID, and IDs sharing the low 32 bits of
+// either known ID, never resolve, and forwarding one still fails with the
+// KT0 diagnostic and no trace.
 TEST(Network, VerifiedIdCacheNeverResolvesUnknownIds) {
   auto net = testing::make_ncc0(8, 21);
   const auto& order = net.path_order();
@@ -318,8 +290,8 @@ TEST(Network, ScopedRoundsAttribution) {
 TEST(Network, StatsCountMessages) {
   auto net = testing::make_ncc0(10, 15);
   net.round([&](Ctx& ctx) {
-    const NodeId s = ctx.initial_successor();
-    if (s != ncc::kNoNode) ctx.send(s, make_msg(1));
+    const ncc::NodeRef s = ctx.initial_successor();
+    if (s) ctx.send(s, make_msg(1));
   });
   EXPECT_EQ(net.stats().messages_sent, 9u);
   net.round([](Ctx&) {});

@@ -61,7 +61,7 @@ RunFingerprint run_flood(unsigned threads, bool traced, Flood shape) {
       auto& in = fp.inbox_digest[ctx.slot()];
       for (const auto m : ctx.inbox_view()) in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[ctx.slot()];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
+      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.tag);
       const auto ids = ctx.all_ids();
       for (int i = 0; i < sends; ++i) {
         std::size_t pick = 0;
@@ -71,7 +71,7 @@ RunFingerprint run_flood(unsigned threads, bool traced, Flood shape) {
         } else {
           pick = ctx.rng().below(shape == Flood::kHot8 ? 8 : ids.size());
         }
-        ctx.send1(ids[pick], 5, ctx.rng().below(1u << 20));
+        ctx.send(ids[pick], ncc::make_msg(5).push(ctx.rng().below(1u << 20)));
       }
     });
   }
@@ -103,13 +103,13 @@ RunFingerprint run_skewed_fan_in(unsigned threads, bool traced) {
       auto& in = fp.inbox_digest[ctx.slot()];
       for (const auto m : ctx.inbox_view()) in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[ctx.slot()];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
+      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.tag);
       const auto ids = ctx.all_ids();
       for (int i = 0; i < sends; ++i) {
         const std::size_t pick = ctx.rng().chance(0.9)
                                      ? 0
                                      : ctx.rng().below(ids.size());
-        ctx.send1(ids[pick], 3, ctx.rng().below(1u << 18));
+        ctx.send(ids[pick], ncc::make_msg(3).push(ctx.rng().below(1u << 18)));
       }
     });
   }
@@ -142,7 +142,7 @@ RunFingerprint run_gossip_relay(unsigned threads, bool sparse, bool traced) {
     net.round_active([&](Ctx& ctx) {
       auto& in = fp.inbox_digest[ctx.slot()];
       auto& bo = fp.bounce_digest[ctx.slot()];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
+      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.tag);
       // Collect the ID words delivered this round (learned by last round's
       // learn pass, so forwarding them is KT0-legal now).
       std::vector<NodeId> heard;
@@ -155,8 +155,8 @@ RunFingerprint run_gossip_relay(unsigned threads, bool sparse, bool traced) {
           in = hash_mix(in, m.id_mask(), m.word(w));
         }
       }
-      const NodeId succ = ctx.initial_successor();
-      if (!active || succ == ncc::kNoNode) return;
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (!active || !succ) return;
       int budget = ctx.capacity() - 1;
       ctx.send(succ, make_msg(2).push_id(ctx.id()));
       // Relay the heard IDs onward in batches of up to 4 per message.
@@ -190,8 +190,8 @@ RunFingerprint run_ring(unsigned threads, ncc::OverflowPolicy policy) {
     net.round([&](Ctx& ctx) {
       auto& in = fp.inbox_digest[ctx.slot()];
       for (const auto m : ctx.inbox_view()) in = hash_mix(in, m.src(), m.word(0));
-      const NodeId succ = ctx.initial_successor();
-      if (succ != ncc::kNoNode)
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (succ)
         ctx.send(succ, make_msg(1).push_id(ctx.id()).push(r));
     });
   }
@@ -280,7 +280,7 @@ TEST(PhaseTiming, PopulatedWhenOnAndZeroWhenDetached) {
           const std::size_t pick = ctx.rng().chance(0.25)
                                        ? ctx.rng().below(4)
                                        : ctx.rng().below(ids.size());
-          ctx.send1(ids[pick], 5, i);
+          ctx.send(ids[pick], ncc::make_msg(5).push(i));
         }
       });
     }
@@ -319,8 +319,8 @@ TEST(PhaseTiming, LearnPhaseMeasuredOnNcc0AndSampleCarriesPhases) {
   for (int r = 0; r < 6; ++r) {
     net.round([&](Ctx& ctx) {
       for (const auto m : ctx.inbox_view()) (void)m;
-      const NodeId succ = ctx.initial_successor();
-      if (succ != ncc::kNoNode)
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (succ)
         ctx.send(succ, make_msg(2).push_id(ctx.id()));
     });
   }

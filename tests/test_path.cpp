@@ -18,8 +18,8 @@ TEST_P(PathSweep, UndirectedPathIsConsistent) {
   // Exactly one head and one tail.
   std::size_t heads = 0, tails = 0;
   for (ncc::Slot s = 0; s < n; ++s) {
-    heads += path.pred[s] == ncc::kNoNode ? 1 : 0;
-    tails += path.succ[s] == ncc::kNoNode ? 1 : 0;
+    heads += path.pred[s] ? 0 : 1;
+    tails += path.succ[s] ? 0 : 1;
   }
   EXPECT_EQ(heads, 1u);
   EXPECT_EQ(tails, 1u);

@@ -56,7 +56,7 @@ testing::NetFingerprint run_flood(unsigned threads, std::uint64_t seed) {
         const bool hot = (i & 1) == 0;
         const std::size_t pick = hot ? ctx.rng().below(kHot)
                                      : ctx.rng().below(ids.size());
-        ctx.send1(ids[pick], 7, acc + i);
+        ctx.send(ids[pick], ncc::make_msg(7).push(acc + i));
       }
     });
   }
@@ -79,8 +79,7 @@ testing::NetFingerprint run_wave(unsigned threads, std::uint64_t seed) {
       if (!token) return;
       const auto ids = ctx.all_ids();
       for (int k = 0; k < 3; ++k) {
-        ctx.send1(ids[ctx.rng().below(ids.size())], 9,
-                  ctx.rng().below(1u << 16));
+        ctx.send(ids[ctx.rng().below(ids.size())], ncc::make_msg(9).push(ctx.rng().below(1u << 16)));
       }
     });
   }

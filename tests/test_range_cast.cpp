@@ -34,7 +34,7 @@ TEST(RangeCast, SingleTaskCoversExactRange) {
   // Source at position 10 multicasts to [50, 120].
   const ncc::Slot src = f.path.order[10];
   std::vector<std::vector<prim::RangeCastTask>> tasks(f.net.n());
-  tasks[src].push_back({50, 120, 1, f.net.id_of(src), true});
+  tasks[src].push_back({50, 120, 1, 0, f.net.ref_of(src)});
 
   std::mutex mu;
   std::set<prim::Position> hit;
@@ -62,7 +62,7 @@ TEST(RangeCast, SourceInsideItsOwnRange) {
   CastFixture f(64, 4, /*strict=*/true);
   const ncc::Slot src = f.path.order[20];
   std::vector<std::vector<prim::RangeCastTask>> tasks(f.net.n());
-  tasks[src].push_back({10, 30, 2, 777, false});
+  tasks[src].push_back({10, 30, 2, 777, {}});
   std::atomic<int> hits{0};
   prim::range_multicast(f.net, f.path, f.skip, tasks,
                         [&](prim::Slot, std::uint32_t, std::uint64_t) {
@@ -83,7 +83,7 @@ TEST(RangeCast, DisjointParallelGroupsRunUnderStrictCaps) {
     const ncc::Slot src = f.path.order[g];
     tasks[src].push_back({static_cast<prim::Position>(g + 1),
                           static_cast<prim::Position>(g + group - 1), 3,
-                          f.net.id_of(src), true});
+                          0, f.net.ref_of(src)});
     expected += group - 1;
   }
   std::atomic<std::size_t> hits{0};
@@ -105,7 +105,7 @@ TEST(RangeCast, OverlappingGroupsDrainWithBounces) {
     const ncc::Slot src = f.path.order[i];
     tasks[src].push_back({static_cast<prim::Position>(i - rho),
                           static_cast<prim::Position>(i - 1), 4,
-                          f.net.id_of(src), true});
+                          0, f.net.ref_of(src)});
     expected += rho;
   }
   std::atomic<std::size_t> hits{0};
@@ -120,7 +120,7 @@ TEST(RangeCast, SingletonRange) {
   CastFixture f(32, 7, /*strict=*/true);
   const ncc::Slot src = f.path.order[0];
   std::vector<std::vector<prim::RangeCastTask>> tasks(f.net.n());
-  tasks[src].push_back({31, 31, 5, 123, false});
+  tasks[src].push_back({31, 31, 5, 123, {}});
   std::atomic<int> hits{0};
   prim::range_multicast(f.net, f.path, f.skip, tasks,
                         [&](prim::Slot r, std::uint32_t, std::uint64_t v) {
@@ -151,7 +151,7 @@ TEST_P(RangeCastFuzz, RandomOverlappingTasksDeliverExactly) {
     const std::uint64_t payload = 100000 + static_cast<std::uint64_t>(t);
     tasks[src].push_back({static_cast<prim::Position>(a),
                           static_cast<prim::Position>(b),
-                          static_cast<std::uint32_t>(t), payload, false});
+                          static_cast<std::uint32_t>(t), payload, {}});
     for (std::size_t p = a; p <= b; ++p) expected[p].insert(payload);
   }
 

@@ -188,7 +188,7 @@ TEST(Reliable, CrashedNodesAreSilent) {
   net.round([&](ncc::Ctx& ctx) {
     if (ctx.slot() == order[3]) crashed_ran.fetch_add(1);
     const auto s = ctx.initial_successor();
-    if (s != ncc::kNoNode) ctx.send(s, ncc::make_msg(1));
+    if (s) ctx.send(s, ncc::make_msg(1));
   });
   net.round([&](ncc::Ctx& ctx) {
     if (ctx.slot() == order[3]) crashed_ran.fetch_add(1);

@@ -19,7 +19,7 @@ TEST(SendQueue, PacesWithinCapacity) {
   auto net = testing::make_strict_ncc0(16, 1);
   const auto& order = net.path_order();
   const Slot head = order.front();
-  const NodeId succ = net.id_of(order[1]);
+  const ncc::NodeRef succ = net.ref_of(order[1]);
 
   SendQueue q;
   for (int i = 0; i < 100; ++i) q.push(succ, make_msg(7).push(i));
@@ -46,7 +46,7 @@ TEST(SendQueue, DrainsUnderHeavyContention) {
   cfg.seed = 3;
   cfg.initial = ncc::InitialKnowledge::kClique;
   ncc::Network net(128, cfg);
-  const NodeId target = net.id_of(0);
+  const ncc::NodeRef target = net.ref_of(0);
   const int per_node = 5;
 
   std::vector<SendQueue> queues(net.n());
@@ -84,7 +84,7 @@ TEST(SendQueue, TagFilterIgnoresForeignBounces) {
   cfg.seed = 5;
   cfg.initial = ncc::InitialKnowledge::kClique;
   ncc::Network net(64, cfg);
-  const NodeId target = net.id_of(0);
+  const ncc::NodeRef target = net.ref_of(0);
 
   // Two queues at the same node with different tags; flood via raw sends of
   // a third tag so bounces of tag 0xAA must not enter queue 0xBB.

@@ -244,9 +244,16 @@ TEST(ServeService, NonGraphicSequenceIsAValidatedNegative) {
   EXPECT_TRUE(r->edges.empty());
 }
 
-TEST(ServeService, EmptyRequestThrowsAtSubmit) {
+TEST(ServeService, EmptyRequestFailsItsFuture) {
   RealizationService service;
-  EXPECT_THROW(service.submit(Request{}), CheckError);
+  std::future<RealizationService::Result> f = service.submit(Request{});
+  EXPECT_THROW(f.get(), InvalidRequest);
+  // The service keeps serving after a rejected request.
+  Request ok;
+  ok.degrees = {1, 1};
+  EXPECT_TRUE(service.submit(std::move(ok)).get()->validated);
+  EXPECT_EQ(service.stats().submitted, 2u);
+  EXPECT_EQ(service.stats().completed, 2u);
 }
 
 TEST(ServeService, BatchingAndCoalescingAreObservable) {

@@ -37,8 +37,8 @@ TEST(SkipLinks, SubPathLinksStayInside) {
 
   prim::PathOverlay sub;
   const std::size_t keep = 24;
-  sub.pred.assign(64, ncc::kNoNode);
-  sub.succ.assign(64, ncc::kNoNode);
+  sub.pred.assign(64, ncc::NodeRef{});
+  sub.succ.assign(64, ncc::NodeRef{});
   sub.pos = full.pos;
   sub.is_member.assign(64, 0);
   sub.order.assign(full.order.begin(), full.order.begin() + keep);
@@ -46,7 +46,7 @@ TEST(SkipLinks, SubPathLinksStayInside) {
     const ncc::Slot s = sub.order[i];
     sub.is_member[s] = 1;
     sub.pred[s] = full.pred[s];
-    sub.succ[s] = i + 1 < keep ? full.succ[s] : ncc::kNoNode;
+    sub.succ[s] = i + 1 < keep ? full.succ[s] : ncc::NodeRef{};
   }
   const prim::SkipOverlay skip = prim::build_skiplinks(net, sub);
   EXPECT_TRUE(prim::validate_skiplinks(net, sub, skip));

@@ -88,6 +88,26 @@ bool reference_lower_end(std::uint64_t x, std::uint64_t p, std::uint64_t k,
   return (x / (2 * p)) == ((x + k) / (2 * p));
 }
 
+// Handles take the IdMap off the NCC0 hot path: on a random-ID network the
+// set-up (undirect, BBST, skip links), the sort (Batcher stages and
+// rewiring) and the skip-link rebuild on the sorted path look up no ID.
+TEST(IdResolutions, ZeroAcrossSortAndSkiplinks) {
+  SortFixture f(1000, 7);
+  ASSERT_TRUE(f.net.config().random_ids);
+  EXPECT_EQ(f.net.stats().id_resolutions, 0u);
+  Rng rng(11);
+  std::vector<std::uint64_t> key(f.net.n());
+  for (auto& k : key) k = rng.below(50);  // many ties: the ID tie-break runs
+  const std::uint64_t sent = f.net.stats().messages_sent;
+  const prim::SortResult sorted =
+      prim::distributed_sort(f.net, f.path, f.skip, key, /*descending=*/true);
+  expect_sorted(f.net, sorted.path, key, true);
+  const prim::SkipOverlay again = prim::build_skiplinks(f.net, sorted.path);
+  EXPECT_TRUE(prim::validate_skiplinks(f.net, sorted.path, again));
+  EXPECT_GT(f.net.stats().messages_sent, sent);
+  EXPECT_EQ(f.net.stats().id_resolutions, 0u);
+}
+
 TEST(Sort, StageTableMatchesDivisionFormula) {
   for (std::uint64_t n_pow2 = 1; n_pow2 <= 4096; n_pow2 *= 2) {
     const auto stages = prim::batcher_stages(n_pow2);
@@ -165,8 +185,8 @@ TEST(Sort, SubPathSortLeavesOutsidersAlone) {
   // Restrict to first 25 positions of the initial path.
   prim::PathOverlay sub;
   const std::size_t keep = 25;
-  sub.pred.assign(60, ncc::kNoNode);
-  sub.succ.assign(60, ncc::kNoNode);
+  sub.pred.assign(60, ncc::NodeRef{});
+  sub.succ.assign(60, ncc::NodeRef{});
   sub.pos = f.path.pos;
   sub.is_member.assign(60, 0);
   sub.order.assign(f.path.order.begin(), f.path.order.begin() + keep);
@@ -174,7 +194,7 @@ TEST(Sort, SubPathSortLeavesOutsidersAlone) {
     const ncc::Slot s = sub.order[i];
     sub.is_member[s] = 1;
     sub.pred[s] = f.path.pred[s];
-    sub.succ[s] = i + 1 < keep ? f.path.succ[s] : ncc::kNoNode;
+    sub.succ[s] = i + 1 < keep ? f.path.succ[s] : ncc::NodeRef{};
   }
   const prim::SkipOverlay sub_skip = prim::build_skiplinks(f.net, sub);
 

@@ -37,8 +37,8 @@ TEST(Telemetry, SamplesAreDeltasThatSumToNetStats) {
       const ncc::NodeId hot = net.id_of(0);
       if (ctx.knows(hot) && ctx.slot() != 0)
         ctx.send(hot, ncc::make_msg(1).push(2));
-      const ncc::NodeId succ = ctx.initial_successor();
-      if (succ != ncc::kNoNode) ctx.send(succ, ncc::make_msg(1).push(3));
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (succ) ctx.send(succ, ncc::make_msg(1).push(3));
     });
   }
   net.set_telemetry(nullptr);
@@ -75,8 +75,8 @@ TEST(Telemetry, FrontierFieldTracksActiveSet) {
   net.clear_active();
   net.wake(3);
   net.round_active([&](Ctx& ctx) {
-    const ncc::NodeId succ = ctx.initial_successor();
-    if (succ != ncc::kNoNode) ctx.send(succ, ncc::make_msg(2).push(1));
+    const ncc::NodeRef succ = ctx.initial_successor();
+    if (succ) ctx.send(succ, ncc::make_msg(2).push(1));
   });
   net.set_telemetry(nullptr);
   ASSERT_EQ(rec.samples.size(), 1u);
@@ -102,8 +102,8 @@ TEST(Telemetry, IntervalFoldingMatchesTotals) {
   net.set_telemetry(&tel);
   for (int r = 0; r < 10; ++r) {
     net.round([](Ctx& ctx) {
-      const ncc::NodeId succ = ctx.initial_successor();
-      if (succ != ncc::kNoNode) ctx.send(succ, ncc::make_msg(1).push(1));
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (succ) ctx.send(succ, ncc::make_msg(1).push(1));
     });
   }
   net.set_telemetry(nullptr);

@@ -56,7 +56,7 @@ TEST(Trace, CsvAndBusiestRound) {
   net.set_trace(&trace);
   net.round([&](ncc::Ctx& ctx) {
     const auto s = ctx.initial_successor();
-    if (s != ncc::kNoNode) ctx.send(s, ncc::make_msg(7).push(1));
+    if (s) ctx.send(s, ncc::make_msg(7).push(1));
   });
   net.round([](ncc::Ctx&) {});
   const auto [round, count] = trace.busiest_round();
@@ -136,7 +136,7 @@ TEST(Trace, EventsFollowCanonicalPlacement) {
       auto& back = bounced[e.src];
       const auto it =
           std::find_if(back.begin(), back.end(), [&](const auto& b) {
-            return b.dst == net.id_of(e.dst) && b.msg.tag == e.tag;
+            return net.slot_of(b.dst) == e.dst && b.msg.tag == e.tag;
           });
       ASSERT_NE(it, back.end()) << "bounce event with no ctx.bounced() entry";
       back.erase(it);

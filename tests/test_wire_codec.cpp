@@ -161,7 +161,7 @@ TEST(WireCodec, BouncedMaxSizeMessagesKeepFullPayload) {
   net.round([&](Ctx& ctx) {
     for (const auto& b : ctx.bounced()) {
       ++bounced_seen;
-      EXPECT_EQ(b.dst, hot);
+      EXPECT_EQ(ctx.id_of(b.dst), hot);
       EXPECT_EQ(b.msg.tag, 0xB0u);
       ASSERT_EQ(b.msg.size, ncc::kMaxWords);
       EXPECT_EQ(b.msg.id_mask, 0x05u);
@@ -225,7 +225,7 @@ TEST(WireCodec, TinyCapacityMassiveFanInExactAccounting) {
         auto& bo = bounce_digest[ctx.slot()];
         for (const auto& b : ctx.bounced()) {
           EXPECT_EQ(b.msg.size, ncc::kMaxWords);
-          bo = hash_mix(bo, b.dst, b.msg.word(3));
+          bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.word(3));
         }
         ctx.wake();  // every node keeps flooding
         auto m = make_msg(0xF1);

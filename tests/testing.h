@@ -108,7 +108,8 @@ inline RunFingerprint run_crash_loss_overflow(std::size_t n, unsigned threads,
       for (const auto m : ctx.inbox_view())
         in = hash_mix(in, m.src(), m.word(0));
       auto& bo = fp.bounce_digest[ctx.slot()];
-      for (const auto& b : ctx.bounced()) bo = hash_mix(bo, b.dst, b.msg.tag);
+      for (const auto& b : ctx.bounced())
+        bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.tag);
       const auto ids = ctx.all_ids();
       if (r % 4 < 2) {  // flood rounds: dense, hot-set bounces
         const int sends = ctx.capacity() / 2;
