@@ -87,7 +87,7 @@ void BM_EngineFlood(benchmark::State& state) {
 }
 
 // Flood with the observability plane attached — an obs::NetMetrics sink on
-// the dedicated metrics slot folding every round into a registry (registry
+// the telemetry slot folding every round into a registry (registry
 // timing gate off, as in production scraping). The A/B partner of
 // BM_EngineFlood for the attached-cost claim: the pair interleaves in
 // registration order, and the attached run's cost over the detached one is
@@ -100,7 +100,7 @@ void BM_EngineFloodObs(benchmark::State& state) {
   ncc::Network net(n, engine_cfg(static_cast<unsigned>(state.range(1))));
   obs::Registry reg;  // private registry: keep bench reps independent
   obs::NetMetrics metrics(reg);
-  net.set_metrics(&metrics);
+  net.set_telemetry(&metrics);
   const auto cap = static_cast<std::size_t>(net.capacity());
   std::vector<ncc::NodeId> targets(n * cap);
   {
@@ -117,7 +117,7 @@ void BM_EngineFloodObs(benchmark::State& state) {
       }
     });
   }
-  net.set_metrics(nullptr);
+  net.set_telemetry(nullptr);
   report_throughput(state, net, rounds0, msgs0);
   state.counters["ewma_msgs/round"] = benchmark::Counter(
       static_cast<double>(metrics.delivered_per_round_ewma_x1000()) / 1000.0);

@@ -19,7 +19,7 @@
 // --telemetry-socket=PATH turns on the live observability plane: an
 // obs::Exporter is bound at PATH (scrape it with `dgr_top --socket=PATH`
 // or `scripts/obs_tail.sh PATH`), every run's Network feeds the process
-// metrics registry through an obs::NetMetrics sink, and each completed
+// metrics registry through its own obs::NetMetrics sink, and each completed
 // round publishes one NDJSON event to "stream" subscribers. Pure
 // observation: the report bytes are identical with or without the flag.
 #include <cstdlib>
@@ -33,7 +33,6 @@
 #include "ncc/telemetry.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/net_metrics.h"
 #include "scenario/library.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
@@ -192,12 +191,11 @@ int main(int argc, char** argv) {
     };
   }
 
-  // Live observability plane (--telemetry-socket): exporter + metrics sink
-  // + per-round NDJSON events. Constructed before run_matrix so an external
-  // watcher can connect first; destroyed after, which closes subscribers
-  // and unlinks the socket.
+  // Live observability plane (--telemetry-socket): exporter + per-run
+  // metrics on the process registry + per-round NDJSON events. Constructed
+  // before run_matrix so an external watcher can connect first; destroyed
+  // after, which closes subscribers and unlinks the socket.
   std::unique_ptr<dgr::obs::Exporter> exporter;
-  std::unique_ptr<dgr::obs::NetMetrics> net_metrics;
   if (!socket_path.empty()) {
     try {
       exporter = std::make_unique<dgr::obs::Exporter>(socket_path);
@@ -208,8 +206,7 @@ int main(int argc, char** argv) {
     // Timing on: phase nanos in round events, queue-wait histograms in the
     // scraped registry. Observability only — never in the report bytes.
     dgr::obs::Registry::set_timing(true);
-    net_metrics = std::make_unique<dgr::obs::NetMetrics>();
-    opt.metrics = net_metrics.get();
+    opt.metrics = &dgr::obs::Registry::instance();
     opt.on_sample = [&exporter](const std::string& scenario,
                                 const std::string& algo, std::uint64_t n,
                                 const dgr::ncc::RoundSample& s) {

@@ -5,11 +5,13 @@
 
 Builds dgr_bench twice: from the merge-base of HEAD and REF (default
 origin/main, exported with `git archive`) and from this checkout's working
-tree. Runs implicit-regular, powerlaw-explicit and connectivity-ncc1 with
-`--smoke --trace` at seed 1 on both builds and exits 1 if the total round
-count, any per-primitive round count or any of ncc.messages_sent /
-_delivered / _bounced differs. serve-mixed is run and printed but never
-fails the check: its request mix depends on timing.
+tree. Runs implicit-regular, powerlaw-explicit and connectivity-ncc1 at
+seed 1 on both builds, once with `--smoke --trace` and once with `--smoke`
+alone, and exits 1 if the end-to-end `rounds` or `messages` count (from
+the untraced run), any per-primitive round count or any of
+ncc.messages_sent / _delivered / _bounced (from the traced run) differs.
+serve-mixed is run and printed but never fails the check: its request mix
+depends on timing.
 
 A change that claims to move no transcript (a refactor, a deletion, a
 layout change) should pass this unchanged. Run it from the repository
@@ -26,6 +28,7 @@ GATED = ("implicit-regular", "powerlaw-explicit", "connectivity-ncc1")
 REPORTED = ("serve-mixed",)
 MESSAGES = ("ncc.messages_sent", "ncc.messages_delivered",
             "ncc.messages_bounced")
+END_TO_END = ("rounds", "messages")
 
 
 def sh(cmd, **kw):
@@ -45,27 +48,30 @@ def build(src, build_dir):
     return os.path.join(build_dir, "dgr_bench")
 
 
-def counters(binary, workload, out_dir):
-    """The exact counters of one traced smoke run."""
-    stem = os.path.join(out_dir, workload)
+def smoke(binary, workload, stem, *extra):
+    """The metric values of one smoke run, keyed by name."""
     run = subprocess.run([binary, "--workload", workload, "--seed", "1",
-                          "--smoke", "--trace", stem + "-spans.json",
-                          "--json", stem + ".json"],
+                          "--smoke", *extra, "--json", stem + ".json"],
                          capture_output=True, text=True)
     if run.returncode != 0:
         sys.exit(f"bench_counter_check: {binary} --workload {workload} "
                  f"exited {run.returncode}\n{run.stdout}{run.stderr}")
     with open(stem + ".json") as f:
         metrics = json.load(f)["workloads"][0]["metrics"]
-    value = {k: v["value"] for k, v in metrics.items()}
-    out = {k: value[k] for k in MESSAGES}
-    out.update({k: v for k, v in value.items()
+    return {k: v["value"] for k, v in metrics.items()}
+
+
+def counters(binary, workload, out_dir):
+    """The exact counters of one traced and one untraced smoke run."""
+    stem = os.path.join(out_dir, workload)
+    traced = smoke(binary, workload, stem, "--trace", stem + "-spans.json")
+    out = {k: traced[k] for k in MESSAGES}
+    out.update({k: v for k, v in traced.items()
                 if k.startswith("primitives.rounds.")})
-    # The traced report has no plain round count; every rep replays one
-    # input, so messages / (messages per round) recovers it exactly.
-    per_round = value["ncc.msgs_per_round"]
-    out["rounds"] = round(value["ncc.messages_sent"] / per_round) \
-        if per_round else 0
+    # The traced report carries no plain round count; the untraced one
+    # reports the run's rounds and messages end to end.
+    plain = smoke(binary, workload, stem + "-untraced")
+    out.update({k: plain[k] for k in END_TO_END if k in plain})
     return out
 
 
@@ -97,9 +103,10 @@ def main():
     failed = False
     for w in GATED + REPORTED:
         a, b = sides["base"][w], sides["head"][w]
-        for k in sorted(set(a) | set(b)):
-            same = a.get(k) == b.get(k)
-            gated = w in GATED
+        gated = w in GATED
+        # A gated workload must report every end-to-end count on both sides.
+        for k in sorted(set(a) | set(b) | set(END_TO_END if gated else ())):
+            same = a.get(k) == b.get(k) and a.get(k) is not None
             failed |= gated and not same
             mark = "" if same else ("  DIFFERS" if gated else "  (reported)")
             print(f"  {w:<18} {k:<38} {a.get(k)!s:>12} {b.get(k)!s:>12}{mark}")

@@ -345,8 +345,7 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
   sparse_dispatch_ = round_list_ != nullptr;
   // Per-phase timing (RoundSample::phase_ns / NetStats::phase_ns): one
   // cached-flag branch per phase boundary when detached, no clock reads.
-  const bool timed =
-      telemetry_ != nullptr || metrics_ != nullptr || phase_timing_;
+  const bool timed = timing_on();
   if (!timed) round_ns_ = PhaseNanos{};
   const std::uint64_t t_body = timed ? mono_ns() : 0;
   {
@@ -413,8 +412,7 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
 void Network::deliver() {
   RoundScratch& sc = *scr_;
   Rng delivery_rng(hash_mix(cfg_.seed, 0xDE11FE12ULL, stats_.rounds));
-  const bool timed =
-      telemetry_ != nullptr || metrics_ != nullptr || phase_timing_;
+  const bool timed = timing_on();
   std::uint64_t tmark = timed ? mono_ns() : 0;
 
   // The inbox arena is about to be repacked: every InboxView handed out for
@@ -776,12 +774,11 @@ void Network::deliver() {
   sc.touched_dests.clear();
 
   // Telemetry hook, referee context (in_body_ is false, the frontier is
-  // rebuilt, all statistics folded): hand the sinks this round's deltas. A
+  // rebuilt, all statistics folded): hand the sink this round's deltas. The
   // sink may steer the simulation from here — crash(), a drop-probability
-  // flip — and the change applies from the next round; the metrics slot
-  // fires after the telemetry slot on the same sample. Detached cost: this
+  // flip — and the change applies from the next round. Detached cost: this
   // one predictable branch.
-  if (telemetry_ || metrics_) [[unlikely]] {
+  if (telemetry_) [[unlikely]] {
     RoundSample smp;
     smp.round = stats_.rounds;
     smp.sent = sent;
@@ -799,8 +796,7 @@ void Network::deliver() {
     smp.dense_sweep = dense_sweep;
     smp.sparse_dispatch = sparse_dispatch_;
     smp.phase_ns = round_ns_;
-    if (telemetry_) telemetry_->on_round(smp);
-    if (metrics_) metrics_->on_round(smp);
+    telemetry_->on_round(smp);
   }
 }
 

@@ -470,17 +470,10 @@ class Network {
   /// Attach (or detach with nullptr) a per-round telemetry sink; see
   /// ncc/telemetry.h for the sample contract and steering guarantees.
   /// The Network does not own the sink; it must outlive the attachment.
+  /// One slot: a caller with several observers composes them behind one
+  /// sink (the scenario runner's orchestrator forwards each sample to its
+  /// interval collector, live hook and metrics sink).
   void set_telemetry(TelemetrySink* sink) { telemetry_ = sink; }
-  TelemetrySink* telemetry() const { return telemetry_; }
-
-  /// Second, independent sink slot reserved for metrics collectors
-  /// (obs::NetMetrics), so attaching process-wide observability never
-  /// displaces a scenario orchestrator on the set_telemetry slot. Same
-  /// contract as set_telemetry: referee context, same RoundSample, fired
-  /// after the telemetry sink. The engine stays obs-agnostic — this slot
-  /// only knows the TelemetrySink interface.
-  void set_metrics(TelemetrySink* sink) { metrics_ = sink; }
-  TelemetrySink* metrics() const { return metrics_; }
 
   /// Per-phase wall-time breakdown (NetStats::phase_ns, RoundSample::
   /// phase_ns) without attaching a telemetry sink — the thread-scaling
@@ -488,7 +481,6 @@ class Network {
   /// attached; when both are off the engine reads no clocks at all
   /// (detached cost: a few predictable branches per round).
   void set_phase_timing(bool on) { phase_timing_ = on; }
-  bool phase_timing() const { return phase_timing_; }
 
   /// Attach (or detach with nullptr) a message-level trace. The Network
   /// does not own the trace; it must outlive the attachment.
@@ -570,6 +562,9 @@ class Network {
   void run_slots(std::size_t lo, std::size_t hi, unsigned arena, void* body,
                  RoundThunk thunk);
   void deliver();
+  /// Phase timing is on exactly while a sink is attached or
+  /// set_phase_timing(true); otherwise the engine reads no clocks.
+  bool timing_on() const { return telemetry_ != nullptr || phase_timing_; }
   /// The placement loop: walk every outbox arena in global source order and
   /// place only the records whose destination slot falls in [dst_lo,
   /// dst_hi) — [0, n) serially, or one parallel task's range. Each
@@ -658,7 +653,6 @@ class Network {
   std::size_t crashed_n_ = 0;
   Trace* trace_ = nullptr;
   TelemetrySink* telemetry_ = nullptr;
-  TelemetrySink* metrics_ = nullptr;  // see set_metrics
   // True exactly while round bodies may be executing (set before the
   // dispatch in execute_round, cleared before deliver()). Guards the
   // referee-only knobs above; the write happens-before the worker kick and

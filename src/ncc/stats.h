@@ -10,7 +10,7 @@ namespace dgr::ncc {
 /// Monotonic-clock nanoseconds attributed to each delivery-datapath phase:
 /// the round bodies, the counting-sort/layout passes, the overflow RNG
 /// pre-draw, record placement, and the knowledge learn pass. Only populated
-/// while phase timing is on (a telemetry sink attached, or
+/// while phase timing is on (the telemetry sink attached, or
 /// Network::set_phase_timing(true)); otherwise every field stays zero and
 /// the engine takes no timestamps at all. Wall-clock measurements, NOT part
 /// of the transcript: values differ run to run and across thread counts,

@@ -58,7 +58,9 @@ struct RoundSample {
 };
 
 /// Attach with Network::set_telemetry(&sink); detach with nullptr. The
-/// Network does not own the sink; it must outlive the attachment.
+/// Network does not own the sink; it must outlive the attachment. A
+/// Network has exactly one slot: a caller with several observers composes
+/// them behind one sink, as the scenario runner's orchestrator does.
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;

@@ -3,11 +3,13 @@
 // datapath export shape: cumulative message counters, drop events, and an
 // EWMA'd delivery rate an external controller can steer from.
 //
-// Attach with Network::set_metrics(&m) (the dedicated metrics slot, so it
-// composes with a scenario orchestrator on the set_telemetry slot). on_round
-// runs in referee context — single-threaded per Network — so the EWMA state
-// needs no synchronization; the registry cells it writes are sharded and
-// safe against concurrent Networks sharing one registry.
+// One instance per Network: attach with Network::set_telemetry(&m), or
+// forward samples to it from a composing sink (the scenario runner builds
+// one per run). on_round runs in referee context — single-threaded per
+// Network — so the EWMA state and its last-exported gauge values need no
+// synchronization; an instance shared by concurrent Networks races on them.
+// The registry cells it writes are sharded and safe against concurrent
+// instances sharing one registry.
 #pragma once
 
 #include <cstdint>

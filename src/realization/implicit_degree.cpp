@@ -1,9 +1,6 @@
 #include "realization/implicit_degree.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-#include <unordered_set>
 
 #include "primitives/broadcast.h"
 #include "primitives/range_cast.h"
@@ -97,11 +94,6 @@ ImplicitDegreeResult realize_degrees_on_path(
   // the new source's neighbour, recreating the edge — a corner the paper's
   // Theorem 13 alteration leaves open. Sorting key: 2·residual + fresh bit.
   std::vector<std::uint8_t> has_sourced(n, 0);
-  // Referee edge set for the duplicate diagnostic (mutex: deliveries can
-  // run from parallel round-body threads). Insert-dedupe only, never
-  // iterated. det-ok: unordered_set
-  std::unordered_set<std::uint64_t> referee_edges;
-  std::mutex referee_mu;
 
   while (true) {
     DGR_CHECK_MSG(result.phases <= phase_guard,
@@ -164,13 +156,6 @@ ImplicitDegreeResult realize_degrees_on_path(
           } else {
             --residual[receiver];
           }
-          // Referee diagnostic (not visible to nodes): duplicate creation.
-          const ncc::Slot src = net.slot_of(payload);
-          const std::uint64_t lo = std::min<std::uint64_t>(src, receiver);
-          const std::uint64_t hi = std::max<std::uint64_t>(src, receiver);
-          std::scoped_lock lk(referee_mu);
-          if (!referee_edges.insert((lo << 32) | hi).second)
-            ++result.duplicate_edges;
         });
 
     // Step 5: one aggregate-OR tells everyone whether any residual went
@@ -184,6 +169,21 @@ ImplicitDegreeResult realize_degrees_on_path(
       }
     }
   }
+
+  // Referee diagnostic (not visible to nodes): edges created twice, in
+  // either orientation. Counted once after the phase loop, so the delivery
+  // callback stays lock- and lookup-free.
+  std::vector<std::uint64_t> edges;
+  for (ncc::Slot r = 0; r < n; ++r) {
+    for (const ncc::NodeId v : result.stored[r]) {
+      const std::uint64_t src = net.slot_of(v);
+      edges.push_back((std::min<std::uint64_t>(src, r) << 32) |
+                      std::max<std::uint64_t>(src, r));
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  for (std::size_t i = 1; i < edges.size(); ++i)
+    result.duplicate_edges += edges[i] == edges[i - 1] ? 1 : 0;
 
   result.rounds = net.stats().rounds - start_rounds;
   return result;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 
 #include "ncc/executor.h"
 #include "ncc/network.h"
+#include "obs/net_metrics.h"
 #include "primitives/collection.h"
 #include "primitives/reliable.h"
 #include "realization/approx_degree.h"
@@ -22,6 +24,11 @@ namespace {
 
 constexpr std::uint32_t kTagPing = 0x7A0;
 
+/// Interval width (rounds) and ring capacity of each run's telemetry
+/// collector: the shape of RunRecord::intervals in every report.
+constexpr std::uint64_t kTelemetryInterval = 8;
+constexpr std::size_t kTelemetryRing = 64;
+
 /// Attempt budget for crash-tolerant transports: generous enough that a
 /// message to a LIVE peer is effectively never abandoned (give-ups mean
 /// "peer crashed"), small enough that crashed peers cost bounded rounds.
@@ -36,15 +43,19 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// Replays a compiled stage schedule through the engine's telemetry hook
-/// (referee context — see ncc/telemetry.h) and forwards every sample to
-/// the interval collector. Action semantics: an action with stage-relative
-/// round r is applied before the stage's r-th round executes.
+/// The run's one telemetry sink. Replays a compiled stage schedule through
+/// the engine's telemetry hook (referee context — see ncc/telemetry.h) and
+/// forwards every sample to the interval collector, the live on_sample
+/// hook and, when opt.metrics names a registry, the run's own NetMetrics.
+/// Action semantics: an action with stage-relative round r is applied
+/// before the stage's r-th round executes.
 class Orchestrator : public ncc::TelemetrySink {
  public:
   Orchestrator(ncc::Network& net, Telemetry& collect, const RunRecord& rec,
                const RunnerOptions& opt)
-      : net_(net), collect_(collect), rec_(rec), opt_(opt) {}
+      : net_(net), collect_(collect), rec_(rec), opt_(opt) {
+    if (opt.metrics) metrics_.emplace(*opt.metrics);
+  }
 
   void arm(const std::vector<RoundAction>& actions) {
     actions_ = &actions;
@@ -55,6 +66,7 @@ class Orchestrator : public ncc::TelemetrySink {
 
   void on_round(const ncc::RoundSample& s) override {
     collect_.on_round(s);
+    if (metrics_) metrics_->on_round(s);
     if (opt_.on_sample) opt_.on_sample(rec_.scenario, rec_.algo, rec_.n, s);
     if (actions_) apply_due(s.round + 1 - base_);
   }
@@ -74,6 +86,7 @@ class Orchestrator : public ncc::TelemetrySink {
   Telemetry& collect_;
   const RunRecord& rec_;      // run tag for on_sample (scenario/algo/n)
   const RunnerOptions& opt_;  // hooks only; never steers the run
+  std::optional<obs::NetMetrics> metrics_;  // withdraws its gauges at exit
   const std::vector<RoundAction>* actions_ = nullptr;
   std::size_t next_ = 0;
   std::uint64_t base_ = 0;
@@ -197,10 +210,9 @@ RunRecord run_one(const ScenarioSpec& spec, Algo algo, std::size_t n,
   ncc::Network net(n, cfg);
 
   const CompiledSchedule sched = compile_plan(spec, n, run_seed);
-  Telemetry tel(opt.telemetry_interval, opt.telemetry_ring);
+  Telemetry tel(kTelemetryInterval, kTelemetryRing);
   Orchestrator orch(net, tel, rec, opt);
   net.set_telemetry(&orch);
-  if (opt.metrics) net.set_metrics(opt.metrics);
 
   const bool crashes_x = spec.plan.crashes(Stage::kExchange);
   const bool loses_x = spec.plan.loses(Stage::kExchange);
@@ -212,7 +224,6 @@ RunRecord run_one(const ScenarioSpec& spec, Algo algo, std::size_t n,
     rec.validation = std::move(validation);
     rec.validated = validated;
     net.set_telemetry(nullptr);
-    net.set_metrics(nullptr);
     tel.flush();
     const ncc::NetStats& st = net.stats();
     rec.total_rounds = st.rounds;

@@ -35,9 +35,12 @@
 #include "scenario/telemetry.h"
 
 namespace dgr::ncc {
-class TelemetrySink;
 struct RoundSample;
 }  // namespace dgr::ncc
+
+namespace dgr::obs {
+class Registry;
+}  // namespace dgr::obs
 
 namespace dgr::scenario {
 
@@ -55,26 +58,25 @@ struct RunnerOptions {
   unsigned jobs = 1;
   std::vector<std::size_t> n_override;  ///< empty = spec.n_sweep
   std::vector<Algo> algos{kAllAlgos.begin(), kAllAlgos.end()};
-  std::uint64_t telemetry_interval = 8;
-  std::size_t telemetry_ring = 64;
   bool keep_intervals = true;  ///< include interval series in records
   /// Completion hook: called once per finished run with (done, total,
   /// record), where done counts COMPLETED runs (atomic; completion order,
   /// not declarative order, under jobs > 1). Calls are serialized — a
   /// progress printer needs no locking of its own.
   std::function<void(std::size_t, std::size_t, const RunRecord&)> progress;
-  /// Metrics sink attached to every run's Network on its set_metrics slot
-  /// (obs::NetMetrics shape; composes with the runner's own orchestrator
-  /// on the telemetry slot). Execution detail, never in reports —
+  /// Registry the runs' dgr_net_* metrics fold into. Each run builds its
+  /// own obs::NetMetrics on it (the instance's EWMA and exported-gauge
+  /// state is per Network, so concurrent runs never share it) and
+  /// withdraws its gauge contribution when it ends; the registry's cells
+  /// are safe under concurrent runs. Execution detail, never in reports —
   /// transcripts are bit-identical attached or detached. Non-owning; must
-  /// outlive the call. Under jobs > 1 the sink sees concurrent runs'
-  /// rounds, so it must be thread-safe (obs::NetMetrics is).
-  ncc::TelemetrySink* metrics = nullptr;
+  /// outlive the call.
+  obs::Registry* metrics = nullptr;
   /// Live per-round hook: (scenario, algo, n, sample) in referee context —
   /// this is what `dgr_scenarios --telemetry-socket` feeds NDJSON events
-  /// from. Same caveats as `metrics`: execution detail, and under jobs > 1
-  /// it is called concurrently from different runs (obs::Exporter::publish
-  /// serializes internally).
+  /// from. Execution detail like `metrics`, but one hook for all runs:
+  /// under jobs > 1 it is called concurrently from different runs
+  /// (obs::Exporter::publish serializes internally).
   std::function<void(const std::string&, const std::string&, std::uint64_t,
                      const ncc::RoundSample&)>
       on_sample;

@@ -302,7 +302,7 @@ testing::NetFingerprint run_flood(unsigned threads, bool plane,
   std::unique_ptr<obs::Exporter> exporter;
   if (plane) {
     metrics = std::make_unique<obs::NetMetrics>(reg);
-    net.set_metrics(metrics.get());
+    net.set_telemetry(metrics.get());
     if (churn) {
       exporter = std::make_unique<obs::Exporter>(
           test_socket_path("churn"), reg);
@@ -331,7 +331,7 @@ testing::NetFingerprint run_flood(unsigned threads, bool plane,
     if (churn && exporter) exporter->publish("{\"event\":\"round\"}");
   }
   if (sub >= 0) ::close(sub);
-  net.set_metrics(nullptr);
+  net.set_telemetry(nullptr);
   return testing::net_fingerprint(net);
 }
 

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "graph/degree_sequence.h"
+#include "obs/metrics.h"
 #include "scenario/library.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
@@ -28,8 +30,6 @@ RunnerOptions small_opts() {
   RunnerOptions opt;
   opt.seed = 1;
   opt.n_override = {32};
-  opt.telemetry_interval = 8;
-  opt.telemetry_ring = 16;
   return opt;
 }
 
@@ -302,6 +302,55 @@ TEST(ScenarioReport, ProgressAccountingExactUnderConcurrency) {
   // Every (scenario, algo, n) cell reported exactly once.
   EXPECT_EQ(seen_runs.size(), expected_total);
   EXPECT_EQ(rep.run_count(), expected_total);
+}
+
+// RunnerOptions::metrics names a registry; each run folds into it through
+// its own obs::NetMetrics, so concurrent runs share only the registry's
+// sharded cells (the TSan job runs this at jobs = 4). Counters sum over the
+// runs, and every gauge reads 0 once the matrix returns because each run
+// withdrew its contribution when it ended.
+TEST(ScenarioReport, PerRunMetricsUnderConcurrentJobs) {
+  const std::vector<ScenarioSpec> specs = {
+      *scenario::find_scenario("lossy-burst-flips"),
+      *scenario::find_scenario("crash-wave-mid-build")};
+  RunnerOptions opt = small_opts();
+  const std::string detached =
+      scenario::to_json(scenario::run_matrix(specs, opt));
+
+  obs::Registry reg;
+  obs::Gauge& ewma = reg.gauge("dgr_net_delivered_per_round_ewma_x1000", "");
+  std::atomic<bool> saw_live_gauge{false};
+  opt.jobs = 4;
+  opt.metrics = &reg;
+  opt.on_sample = [&](const std::string&, const std::string&, std::uint64_t,
+                      const ncc::RoundSample&) {
+    if (ewma.value() > 0) saw_live_gauge = true;
+  };
+  const MatrixReport rep = scenario::run_matrix(specs, opt);
+  EXPECT_EQ(detached, scenario::to_json(rep));
+  EXPECT_TRUE(saw_live_gauge);
+
+  std::int64_t rounds = 0;
+  for (const auto& sr : rep.scenarios) {
+    for (const auto& r : sr.runs)
+      rounds += static_cast<std::int64_t>(r.total_rounds);
+  }
+  ASSERT_GT(rounds, 0);
+  std::size_t gauges = 0;
+  bool saw_rounds = false;
+  for (const obs::Sample& m : reg.snapshot().samples) {
+    if (m.name == "dgr_net_rounds_total") {
+      EXPECT_EQ(m.value, rounds);
+      saw_rounds = true;
+    }
+    if (m.type == obs::MetricType::kGauge &&
+        m.name.rfind("dgr_net_", 0) == 0) {
+      EXPECT_EQ(m.value, 0) << m.name;
+      ++gauges;
+    }
+  }
+  EXPECT_TRUE(saw_rounds);
+  EXPECT_EQ(gauges, 4u);
 }
 
 TEST(ScenarioReport, JsonShapeAndCsvRowCount) {
