@@ -29,14 +29,20 @@
 //                        completed entry whose peak RSS exceeds M MiB,
 //                        fails the process (exit 1) after the JSON is out
 //                        and skips that algorithm's larger sizes
-//   --time-budget-s S    once an algorithm's run exceeds S seconds, its
-//                        larger sizes are emitted as {"status":"skipped"}
-//                        entries with the reason, instead of silently
-//                        missing from the sweep
+//   --time-budget-s S    each point's child arms an S-second real-time
+//                        timer (setitimer), so a point still running
+//                        after S seconds is stopped there; it becomes a
+//                        {"status":"skipped"} entry whose reason names the
+//                        time budget (with the wall time it ran), and that
+//                        algorithm's larger sizes are skipped with the
+//                        reason too, instead of silently missing from the
+//                        sweep. Skips leave the exit status alone
 #include <sys/resource.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -81,6 +87,7 @@ struct Entry {
   std::uint64_t messages = 0;
   bool validated = false;
   bool over_budget = false;  // ran out of the --rss-budget-mb limit
+  bool timed_out = false;    // stopped by the --time-budget-s timer
 };
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -237,6 +244,7 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt) {
   Entry e;
   e.algo = algo;
   e.n = n;
+  const auto started = std::chrono::steady_clock::now();
   const dgr::bench::ChildResult c =
       dgr::bench::run_in_child([&](std::string& out) {
         if (opt.rss_budget_mb > 0) {
@@ -245,6 +253,22 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt) {
           const struct rlimit lim{bytes, bytes};
           const int rc = setrlimit(RLIMIT_AS, &lim);
           DGR_CHECK_MSG(rc == 0, "setrlimit(RLIMIT_AS) failed");
+        }
+        if (opt.time_budget_s > 0) {
+          // SIGALRM's default action ends the child where it stands; the
+          // parent reads the signal and records the stop. A zero it_value
+          // would disarm the timer, so any budget arms at least 1 us.
+          itimerval timer{};
+          const double whole = static_cast<double>(
+              static_cast<long>(opt.time_budget_s));
+          timer.it_value.tv_sec = static_cast<time_t>(whole);
+          timer.it_value.tv_usec =
+              static_cast<suseconds_t>((opt.time_budget_s - whole) * 1e6);
+          if (timer.it_value.tv_sec == 0 && timer.it_value.tv_usec == 0) {
+            timer.it_value.tv_usec = 1;
+          }
+          const int rc = setitimer(ITIMER_REAL, &timer, nullptr);
+          DGR_CHECK_MSG(rc == 0, "setitimer(ITIMER_REAL) failed");
         }
         const auto t0 = std::chrono::steady_clock::now();
         try {
@@ -259,6 +283,12 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt) {
           e.reason = e.over_budget ? why : "out of memory (std::bad_alloc)";
         } catch (const std::exception& ex) {
           e.reason = ex.what();
+        }
+        if (opt.time_budget_s > 0) {
+          // The point is over: disarm the timer so reporting it cannot be
+          // cut short.
+          const itimerval off{};
+          setitimer(ITIMER_REAL, &off, nullptr);
         }
         e.wall_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
@@ -288,6 +318,22 @@ Entry run_point(const std::string& algo, std::size_t n, const Options& opt) {
     e.reason = c.failure.empty() ? "child reported nothing" : c.failure;
   }
   e.status = e.validated ? "ok" : "failed";
+  if (opt.time_budget_s > 0 &&
+      c.failure == "child killed by signal " + std::to_string(SIGALRM)) {
+    // The point ran into its timer: the wall time is the parent's view,
+    // fork to reap.
+    e.timed_out = true;
+    e.status = "skipped";
+    e.wall_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - started)
+                   .count();
+    char why[160];
+    std::snprintf(why, sizeof why,
+                  "time budget: n=%zu stopped after %.3f s by the %.3f s "
+                  "budget",
+                  n, e.wall_s, opt.time_budget_s);
+    e.reason = why;
+  }
   return e;
 }
 
@@ -325,6 +371,8 @@ void emit(std::FILE* f, const Options& opt,
                  "\"oversubscribed\": %d, \"status\": \"%s\"",
                  e.algo.c_str(), e.n, cores, over ? 1 : 0, e.status.c_str());
     if (e.status == "skipped") {
+      // A point stopped by the time budget ran: its wall time is kept.
+      if (e.timed_out) std::fprintf(f, ", \"wall_s\": %.3f", e.wall_s);
       std::fprintf(f, ", \"reason\": \"%s\"}", json_escape(e.reason).c_str());
     } else {
       std::fprintf(f,
@@ -392,10 +440,9 @@ int main(int argc, char** argv) {
                       std::to_string(e.peak_rss / (1024 * 1024)) +
                       " MiB > budget";
       }
-      if (opt.time_budget_s > 0 && e.status == "ok" &&
-          e.wall_s > opt.time_budget_s) {
-        skip_reason = "time budget: n=" + std::to_string(n) + " took " +
-                      std::to_string(e.wall_s) + " s > budget";
+      if (e.timed_out) {
+        skip_reason = "time budget: n=" + std::to_string(n) +
+                      " was stopped by the budget";
       }
       entries.push_back(std::move(e));
     }

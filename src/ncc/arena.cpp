@@ -22,6 +22,8 @@ void OutArena::grow(std::size_t need) {
 
 void RoundScratch::prepare(std::size_t n, unsigned threads) {
   outboxes.resize(threads);
+  for (auto& out : outboxes) out.buckets.resize(threads);
+  blocks.resize(threads);
   dest_count.resize(n);
   inbox_lo.resize(n);
   inbox_len.resize(n);

@@ -7,8 +7,12 @@
 // inbox_len / inbox_cur, 24 bytes per node, constant in the thread
 // count). Everything else is O(traffic + touched destinations):
 //   - outbox arenas and the inbox arena grow with the words actually sent;
-//   - the counting sort keeps no per-worker table: deliver() re-streams the
-//     outbox headers into the one shared dest_count index;
+//   - the counting sort keeps no per-worker table: every delivery block
+//     counts into its own slot range of the one shared dest_count index;
+//   - a block-parallel round's buckets hold one 64-bit entry per record
+//     (threads x threads lists whose total length is the round's message
+//     count), and each delivery block's touched and overflow lists name
+//     only destinations that received something;
 //   - the overflow/bounce cursor tables are allocated lazily, on the first
 //     round that actually overflows a receiver — a clean huge-n
 //     realization never pays for them.
@@ -27,14 +31,48 @@
 
 namespace dgr::ncc {
 
+/// One (outbox arena, delivery block) bucket: one packed 64-bit entry per
+/// record of the arena addressed to the block, in stream order. An entry
+/// carries the record's word offset in the arena, its length in words and
+/// its destination relative to the block's first slot, so the counting
+/// pass reads only the bucket and the record itself is fetched once, by
+/// the task that places it. Cache-line aligned: the buckets of different
+/// arenas are filled by different body tasks at the same time and must not
+/// share a line.
+struct alignas(64) Bucket {
+  std::vector<std::uint64_t> recs;
+
+  /// Offsets get 29 bits: a round whose outboxes reach 2^29 words (4 GiB)
+  /// is delivered serially, unbucketed.
+  static constexpr std::size_t kMaxArenaWords = std::size_t{1} << 29;
+  static_assert(wire::kHeaderWords + 2 * kMaxWords < 16,
+                "record lengths get 4 bits");
+  /// Block-relative destinations get 31 bits: blocks are at most
+  /// ceil(n / 2) slots wide.
+  static std::uint64_t entry(std::size_t off, std::size_t words, Slot rel) {
+    return (static_cast<std::uint64_t>(off) << 35) |
+           (static_cast<std::uint64_t>(words) << 31) | rel;
+  }
+  static std::size_t offset(std::uint64_t e) {
+    return static_cast<std::size_t>(e >> 35);
+  }
+  static std::size_t words(std::uint64_t e) {
+    return static_cast<std::size_t>((e >> 31) & 15u);
+  }
+  static Slot rel_dst(std::uint64_t e) {
+    return static_cast<Slot>(e & 0x7fffffffu);
+  }
+};
+
 /// One worker's outbox: a single flat stream of variable-length wire
 /// records, each `2 + size (+ trailer)` 64-bit words (see ncc::wire in
 /// message.h). A one-word message costs 24 bytes instead of
 /// sizeof(Message) == 64, and appending costs one bounds check and three
-/// sequential stores. The stream is written and re-read strictly
-/// sequentially, so no per-record offsets exist; deliver() walks it with a
-/// cursor and copies accepted records verbatim to their final inbox
-/// position.
+/// sequential stores. Ctx::send keeps no per-record index: a serial
+/// delivery walks the stream with a cursor, and a block-parallel one reads
+/// the bucket entries the arena's own body task wrote, by destination
+/// block, after its slice finished (`buckets`). Either way accepted
+/// records are copied verbatim to their final inbox position.
 ///
 /// Cache-line aligned: each worker writes its own arena's len on every
 /// send, so neighbouring arenas in RoundScratch::outboxes must not share a
@@ -52,8 +90,15 @@ struct alignas(64) OutArena {
   int max_send = 0;
   // IdMap lookups this worker's round bodies made (NetStats::id_resolutions).
   std::uint64_t id_resolutions = 0;
+  // Block-parallel rounds only: buckets[b] lists, in stream order, every
+  // record addressed to delivery block b. One bucket per block (the
+  // Network's thread count), each O(this arena's traffic).
+  std::vector<Bucket> buckets;
 
-  void clear() { len = 0; }
+  void clear() {
+    len = 0;
+    for (auto& b : buckets) b.recs.clear();
+  }
 
   std::uint64_t* append(std::size_t words) {
     if (len + words > cap) [[unlikely]] grow(words);
@@ -80,17 +125,42 @@ struct Bounced {
   Message msg;
 };
 
+/// One delivery block's round state. A block is a fixed contiguous
+/// destination-slot range — block b of a threads-wide Network covers
+/// [b*ceil(n/threads), (b+1)*ceil(n/threads)) clipped to n — that one task
+/// counts and another lays out, places and learns; a serial round is one
+/// block over [0, n). Cache-line aligned: each task writes its own block.
+struct alignas(64) DeliverBlock {
+  std::vector<Slot> touched;  // destinations counted this round
+  std::vector<Slot> ovf;      // its oversubscribed destinations, ascending
+  std::size_t words = 0;      // inbox words counted, incl. overflow slack
+  std::size_t msgs = 0;       // messages counted (accepted + bounced)
+  std::uint64_t max_recv = 0;
+  // Set by the serial prefix over the blocks: the block's inbox arena
+  // offset and the start of its extent in RoundScratch::touched_dests.
+  std::size_t base = 0;
+  std::size_t touched_off = 0;
+  // Set by the prefix of a block-parallel round: the block holds far more
+  // than its share of the round's inbox words, so its learn pass runs as
+  // chunks of a separate job over every worker, not on its place task.
+  bool spread_learn = false;
+  // Phase timing of the place-and-learn task (only while timing is on).
+  std::uint64_t place_ns = 0;
+  std::uint64_t learn_ns = 0;
+};
+
 /// Every round-transient buffer of a Network. The steady-state datapath
 /// performs no allocation: buffers grow to the workload's high-water mark
 /// and stay there until the Network is destroyed.
 ///
 /// Between-round invariants: dest_count is all-zero; inbox_len is nonzero
 /// only at slots named by inbox_dests; bounced[s] is nonempty only for
-/// slots named by bounce_srcs; every list is consumed by the round that
-/// reads it.
+/// slots named by bounce_srcs; every touched list is empty; every list is
+/// consumed by the round that reads it.
 struct RoundScratch {
-  // --- per-worker arenas (resized to the Network's thread count) --------
+  // --- per-worker arenas and delivery blocks (one each per thread) ------
   std::vector<OutArena> outboxes;
+  std::vector<DeliverBlock> blocks;
 
   // --- always-touched per-destination indices (dense, 24 B/node, x1) ----
   // Kept dense deliberately: deliver() and make_inbox_view index them per

@@ -92,8 +92,9 @@ inline Message make_msg(std::uint32_t tag) {
 ///   id_mask bit: that payload ID's slot, known at send time so the
 ///   delivery-side learn pass never touches the IdMap.
 /// A one-word message costs 24 bytes instead of sizeof(Message) == 64, and
-/// records are written and re-read strictly sequentially — no per-record
-/// offsets exist anywhere; every consumer walks a cursor.
+/// records are written strictly sequentially; readers walk a cursor, except
+/// a block-parallel delivery, which reads each record through the bucket
+/// entry (offset, length, destination) its body task wrote (arena.h).
 namespace wire {
 
 inline constexpr std::size_t kHeaderWords = 2;

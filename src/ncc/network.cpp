@@ -37,10 +37,11 @@ inline std::size_t pk_words(std::uint64_t packed) {
   return static_cast<std::size_t>(packed >> 32);
 }
 
-/// Rounds touching at least n/kDenseSweep slots switch from list-driven
-/// scatters (sort the touched list, zero entries one by one) to sequential
-/// full sweeps — at that density the O(n) streaming pass is cheaper than
-/// k log k sorting and cache-random stores.
+/// Ranges (a delivery block, or the whole slot space) touching at least
+/// 1/kDenseSweep of their slots switch from list-driven scatters (sort the
+/// touched list, zero entries one by one) to sequential sweeps of the range
+/// — at that density the streaming pass is cheaper than k log k sorting and
+/// cache-random stores.
 constexpr std::size_t kDenseSweep = 16;
 
 /// Monotonic timestamp for the per-phase round breakdown (ncc/stats.h).
@@ -54,12 +55,22 @@ inline std::uint64_t mono_ns() {
           .count());
 }
 
-/// Delivery-tail parallelism grains. Below these the executor dispatch
-/// overhead dwarfs the pass itself, so the serial path runs: placement and
-/// the learn pass go parallel from ~2048 inbox words, the overflow
-/// acceptance pre-draw from ~512 oversubscribed arrivals.
+/// Delivery parallelism grains. Below these the executor dispatch overhead
+/// dwarfs the pass itself, so the serial path runs: a round's delivery goes
+/// block-parallel from ~2048 outbox words, the overflow acceptance
+/// pre-draw from ~512 oversubscribed arrivals.
 constexpr std::size_t kParallelDeliverWords = 2048;
 constexpr std::size_t kParallelOvfArrivals = 512;
+
+/// A block-parallel round whose block holds at least twice its share of
+/// the round's inbox words, and at least this many, spreads that block's
+/// learn pass over every worker in one more job instead of running it on
+/// the block's own task: a fan-in concentrated in one block still learns
+/// in parallel. Below ~2^18 words the extra dispatch, and the reads of
+/// inbox words another core just placed, cost as much as they save (a
+/// one-block NCC0 fan-in at threads = 4 on a 4-vCPU host: a wash from 100k
+/// to 300k words, learn 0.68x at 1.1M words and 0.32x at 2.3M).
+constexpr std::size_t kSpreadLearnWords = std::size_t{1} << 18;
 
 /// Grow-by-doubling for the round-scratch buffers whose contents are fully
 /// rewritten every round — old contents are deliberately discarded.
@@ -184,6 +195,7 @@ Network::Network(std::size_t n, Config cfg) : n_(n), cfg_(cfg) {
   // RNG streams) and O(1) per worker for the datapath.
   scr_->prepare(n_, threads_);
   worker_span_.resize(threads_);
+  block_slots_ = static_cast<Slot>((n_ + threads_ - 1) / threads_);
 
   node_rng_.reserve(n);
   for (Slot s = 0; s < n; ++s)
@@ -323,8 +335,8 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
                 "round budget exhausted (" << cfg_.max_rounds << ")");
   RoundScratch& sc = *scr_;
 
-  // Reset per-round arena state. The touched/count lists are normally empty
-  // here (deliver() consumed them); after a round aborted by a body or
+  // Reset per-round arena state. The touched lists are normally empty here
+  // (deliver() consumed them); after a round aborted by a body or
   // strict-mode exception they heal the partial state, keeping the
   // between-rounds invariants (dest_count and inbox_len all zero).
   for (auto& out : sc.outboxes) {
@@ -333,11 +345,15 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
     out.id_resolutions = 0;
     out.wake.clear();
   }
-  for (const Slot d : sc.touched_dests) {
-    sc.dest_count[d] = 0;
-    sc.inbox_len[d] = 0;
-  }
-  sc.touched_dests.clear();
+  const auto heal = [&sc](std::vector<Slot>& touched) {
+    for (const Slot d : touched) {
+      sc.dest_count[d] = 0;
+      sc.inbox_len[d] = 0;
+    }
+    touched.clear();
+  };
+  heal(sc.touched_dests);
+  for (auto& blk : sc.blocks) heal(blk.touched);
 
   // Run the per-node body. Nodes are independent by contract, so slots can
   // be processed in parallel; all randomness is per-slot, so the transcript
@@ -362,6 +378,7 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
     } body_scope(in_body_);
     const bool parallel =
         threads_ > 1 && (!round_list_ || items >= kSparseParallelGrain);
+    bucketed_ = parallel;
     if (!parallel) {
       run_slots(0, items, 0, body, thunk);
     } else {
@@ -384,9 +401,13 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
       Executor::instance().run(
           lease_, threads_, &job, [](void* c, std::size_t t) {
             auto* rj = static_cast<RoundJob*>(c);
+            const auto a = static_cast<unsigned>(t);
             rj->net->run_slots(rj->net->worker_span_[t].first,
-                               rj->net->worker_span_[t].second,
-                               static_cast<unsigned>(t), rj->body, rj->thunk);
+                               rj->net->worker_span_[t].second, a, rj->body,
+                               rj->thunk);
+            // Step 1 of a block-parallel delivery, while the arena is
+            // still in this task's cache (see deliver()).
+            rj->net->bucket_arena(a);
           });
     }
   }
@@ -403,12 +424,41 @@ void Network::execute_round(std::size_t items, void* body, RoundThunk thunk) {
 // fixed seed reproduces the seed engine's outcomes regardless of the thread
 // count or of which internal path below runs.
 //
-// Sparse datapath: every pass below walks lists that name exactly the slots
+// Destinations are split into delivery blocks (DeliverBlock, arena.h):
+// fixed contiguous slot ranges, one per worker, set by n and the thread
+// count alone. A serial round — a single-threaded Network, or one whose
+// outboxes hold under kParallelDeliverWords words — is one block over
+// [0, n) fed straight from the arena streams, its drop draws made inside
+// the counting walk. A block-parallel round runs every pass per block
+// except the two that consume the RNG stream in a set order (the drop
+// filter, a serial pass of its own there, and the overflow pre-draw's
+// snapshot scan):
+//   1. each parallel body task buckets its own arena's records by
+//      destination block (bucket_arena; a serial body's arena is bucketed
+//      here), one packed entry per record;
+//   2. one job counts each block from its buckets, read in arena order:
+//      its dest_count entries, its touched list, its word and message
+//      totals and its overflow list; a serial prefix over the blocks,
+//      O(blocks) plus O(oversubscribed destinations), then runs the
+//      strict-mode check and the kOvfBit guard, assigns each block its
+//      inbox arena offset and reserves the overflow bookkeeping;
+//   3. one job per block orders and lays out the block (sorted, or swept
+//      inside the block), places its records from the same buckets in arena
+//      order — so each destination still receives its messages in global
+//      source order — re-zeroes its counts and runs the learn pass over it
+//      (place_block). A block holding at least twice its share of a large
+//      round's inbox words leaves its learn pass to one more job that
+//      splits it over every worker by inbox words (learn_spread), so a
+//      fan-in into one block still learns in parallel.
+// Every destination's counts, cursors, inbox slice and knowledge table have
+// exactly one writing task, so no synchronization is needed beyond the job
+// barriers, and the transcript is bit-identical at any thread count.
+//
+// Sparse datapath: every pass walks lists that name exactly the slots
 // involved this round (touched destinations, bounce sources, wakes), so a
 // round's delivery cost is O(messages + slots touched), independent of n.
-// Destination iteration sorts touched_dests first, which keeps the
-// oversubscription draws in destination-slot order — the same order the
-// dense full-range sweep produced.
+// A block whose touched count reaches 1/kDenseSweep of its range sweeps the
+// range instead, which yields the same ascending order.
 void Network::deliver() {
   RoundScratch& sc = *scr_;
   Rng delivery_rng(hash_mix(cfg_.seed, 0xDE11FE12ULL, stats_.rounds));
@@ -419,149 +469,130 @@ void Network::deliver() {
   // the finished round is now stale (debug builds diagnose dereferences).
   ++inbox_gen_;
 
-  // O(last round's frontier) cleanup of the per-slot state the previous
-  // delivery wrote: inbox extents and bounce lists. Near-dense lists use a
-  // sequential fill instead of a scatter (kDenseSweep below).
-  if (sc.inbox_dests.size() >= n_ / kDenseSweep) {
-    std::fill(sc.inbox_len.begin(), sc.inbox_len.end(), 0u);
-  } else {
-    for (const Slot d : sc.inbox_dests) sc.inbox_len[d] = 0;
-  }
-  sc.inbox_dests.clear();
   for (const Slot s : sc.bounce_srcs) sc.bounced[s].clear();
   sc.bounce_srcs.clear();
 
-  // Pass 1 — the counting-sort histogram: one re-stream of the record
-  // headers in global source-slot order (worker arenas in slice order),
-  // appending each destination to touched_dests the first time it is
-  // counted. On a lossy or crashed network the same walk filters drops
-  // first, consuming the delivery stream exactly as the serial seed engine
-  // did; a reliable network draws nothing here.
-  std::uint64_t dropped = 0;
-  const bool lossy = cfg_.drop_probability > 0.0;
-  const bool filter = lossy || crashed_n_ != 0;
   const bool trailered = !is_clique();  // records carry ID-slot trailers
-  for (auto& out : sc.outboxes) {
-    std::uint64_t* p = out.buf.get();
-    std::uint64_t* const end = p + out.len;
-    while (p < end) {
-      const std::size_t rl = wire::record_words(p, trailered);
-      const Slot dst = wire::dst(p);
-      // Link loss: the message silently disappears; the sender learns
-      // nothing (unlike a capacity bounce). A crashed destination behaves
-      // identically — the sender cannot tell the difference.
-      const bool drop =
-          filter && (crashed_[dst] ||
-                     (lossy && delivery_rng.chance(cfg_.drop_probability)));
-      if (drop) {
-        ++dropped;
-        if (trace_)
-          trace_->record({stats_.rounds, wire::src(p), dst, wire::tag(p),
-                          MessageOutcome::kDropped});
-        wire::retarget(p, kNoSlot);  // tombstone: placement skips it
-      } else {
-        std::uint64_t& c = sc.dest_count[dst];
-        if (c == 0) sc.touched_dests.push_back(dst);
-        c += pack_one(rl);
-      }
-      p += rl;
-    }
-  }
-  // Near-dense rounds run the O(n) sequential variants of the passes below
-  // (ordered-destination rebuild, zeroing): at that density streaming beats
-  // list-driven scatters. Sparse rounds touch only the lists.
-  const bool dense_sweep = sc.touched_dests.size() >= n_ / kDenseSweep;
   std::uint64_t round_max_send = 0;
+  std::size_t out_words = 0;
   for (const auto& out : sc.outboxes) {
     round_max_send = std::max<std::uint64_t>(
         round_max_send, static_cast<std::uint64_t>(out.max_send));
     stats_.id_resolutions += out.id_resolutions;
+    out_words += out.len;
   }
   stats_.max_send_in_round =
       std::max(stats_.max_send_in_round, round_max_send);
 
-  // Pass 2 — per-destination layout and oversubscription draws, in
-  // destination-slot order. For each overflowing destination, draw the
-  // accepted capacity-sized subset now (partial Fisher-Yates over arrival
-  // indices) and record it as a bitmap so the placement pass can route each
-  // arrival in O(1). Near-dense rounds rebuild the ordered list with a
-  // sequential sweep instead of sorting it.
-  if (dense_sweep) {
-    sc.touched_dests.clear();
-    for (Slot d = 0; d < static_cast<Slot>(n_); ++d) {
-      if (sc.dest_count[d] != 0) sc.touched_dests.push_back(d);
-    }
-  } else {
-    std::sort(sc.touched_dests.begin(), sc.touched_dests.end());
-  }
+  const bool par = threads_ > 1 && out_words >= kParallelDeliverWords &&
+                   out_words < Bucket::kMaxArenaWords;
+  const std::size_t nblocks = par ? threads_ : 1;
+  if (par && !bucketed_) bucket_arena(0);  // the body ran serially, in arena 0
+
+  // Link loss and crashed destinations: the drop draws walk every record
+  // in global source-slot order, consuming the delivery stream exactly as
+  // the serial seed engine did, and tombstone the dropped records, which
+  // every later pass skips. A serial round draws them inside its counting
+  // walk; a block-parallel round runs them as one serial pass before the
+  // per-block count. A reliable network with no crash draws nothing.
+  const bool filter = cfg_.drop_probability > 0.0 || crashed_n_ != 0;
+
+  // Count: one block from the arena streams, or every block from its
+  // buckets (count_block).
   const auto cap = static_cast<std::size_t>(capacity_);
+  std::uint64_t dropped = 0;
+  if (!par) {
+    dropped = count_block(0, 0, static_cast<Slot>(n_), /*direct=*/true,
+                          filter, trailered, delivery_rng);
+  } else {
+    if (filter) dropped = drop_pass(delivery_rng, trailered);
+    Executor::instance().parallel_for(lease_, nblocks, [&](std::size_t b) {
+      count_block(b, block_lo(b), block_lo(b + 1), /*direct=*/false, filter,
+                  trailered, delivery_rng);
+    });
+  }
+  sc.inbox_dests.clear();
+
+  // The serial prefix over the blocks, in slot order: the strict-mode
+  // check, the kOvfBit guard, each block's inbox arena offset and its
+  // extent in the round's touched list, and the totals.
   sc.ovf_dests.clear();
   sc.ovf_bitmap.clear();
-  std::size_t accept_msgs = 0;    // accepted messages (stats)
   std::size_t layout_words = 0;   // inbox arena extent, incl. overflow slack
-  std::size_t bounce_total = 0;
-  std::uint64_t round_max_recv = 0;
-  for (const Slot d : sc.touched_dests) {
-    const std::uint64_t dc = sc.dest_count[d];
-    const std::size_t m = pk_count(dc);
-    const std::size_t w = pk_words(dc);
-    round_max_recv = std::max<std::uint64_t>(round_max_recv, m);
-    // kOvfBit guard: the word cursor lives in the low 31 bits of
-    // inbox_cur and bit 31 is the oversubscription flag. Reject the round
-    // BEFORE stamping any cursor whose arithmetic could reach the flag bit,
-    // so a per-destination count near the flag can never alias it — not
-    // even transiently mid-pass (placement advances the cursor by this
-    // destination's words at most, which the extent below already covers).
-    DGR_CHECK_MSG(layout_words + w < kOvfBit,
-                  "round too large for 32-bit delivery cursors ("
-                      << layout_words + w << " inbox words would reach the "
-                      << "kOvfBit oversubscription flag)");
-    sc.inbox_lo[d] = layout_words;
-    sc.inbox_cur[d] = static_cast<std::uint32_t>(layout_words);
-    if (m <= cap) {
-      sc.inbox_len[d] = static_cast<std::uint32_t>(m);
-      accept_msgs += m;
-      layout_words += w;
-      continue;
+  std::size_t counted = 0;        // accepted + bounced messages
+  std::size_t touched_total = 0;
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    DeliverBlock& blk = sc.blocks[b];
+    if (!blk.ovf.empty()) {
+      const Slot d = blk.ovf.front();
+      DGR_CHECK_MSG(cfg_.overflow == OverflowPolicy::kBounce,
+                    "receive capacity exceeded at node "
+                        << ids_[d] << " (" << pk_count(sc.dest_count[d])
+                        << " > " << cap << ") in strict mode");
     }
-    DGR_CHECK_MSG(cfg_.overflow == OverflowPolicy::kBounce,
-                  "receive capacity exceeded at node "
-                      << ids_[d] << " (" << m << " > " << cap
-                      << ") in strict mode");
-    // First overflow on this scratch materializes the O(n) cursor tables;
-    // a run that never oversubscribes a receiver never allocates them.
-    sc.ensure_overflow(n_);
-    // Reserve this destination's acceptance-bitmap region. The actual
-    // subset draws are deferred to the pre-draw step below so worker
-    // threads can replay them without perturbing the stream; deferral is
-    // stream-equivalent because this layout loop consumes no randomness.
-    sc.bitmap_off[d] = static_cast<std::uint32_t>(sc.ovf_bitmap.size());
-    sc.ovf_bitmap.resize(sc.ovf_bitmap.size() + m);  // value-initializes to 0
-    sc.bounce_base[d] = static_cast<std::uint32_t>(bounce_total);
-    sc.bounce_cursor[d] = static_cast<std::uint32_t>(bounce_total);
-    bounce_total += m - cap;
-    sc.ovf_dests.push_back(d);
-    sc.inbox_cur[d] |= kOvfBit;
-    sc.inbox_len[d] = static_cast<std::uint32_t>(cap);
-    accept_msgs += cap;
-    // The full pre-overflow word extent: accepted records pack at its
-    // front, the bounced records' words are slack the next round reclaims.
-    layout_words += w;
+    // kOvfBit guard: the word cursor lives in the low 31 bits of inbox_cur
+    // and bit 31 is the oversubscription flag. Reject the round BEFORE any
+    // cursor is stamped whose arithmetic could reach the flag bit, so a
+    // per-destination count near the flag can never alias it (placement
+    // advances a cursor by its destination's words at most, which the
+    // extent already covers).
+    DGR_CHECK_MSG(layout_words + blk.words < kOvfBit,
+                  "round too large for 32-bit delivery cursors ("
+                      << layout_words + blk.words
+                      << " inbox words would reach the "
+                      << "kOvfBit oversubscription flag)");
+    blk.base = layout_words;
+    blk.touched_off = touched_total;
+    blk.spread_learn = false;
+    layout_words += blk.words;
+    counted += blk.msgs;
+    touched_total += blk.touched.size();
+    sc.ovf_dests.insert(sc.ovf_dests.end(), blk.ovf.begin(), blk.ovf.end());
   }
-  stats_.max_recv_in_round =
-      std::max(stats_.max_recv_in_round, round_max_recv);
+  // Overflow bookkeeping, in destination-slot order: each oversubscribed
+  // destination reserves its acceptance-bitmap region (one flag per
+  // arrival) and its run of bounce references. The first overflow on this
+  // scratch materializes the O(n) cursor tables; a run that never
+  // oversubscribes a receiver never allocates them.
+  std::size_t bounce_total = 0;
+  if (!sc.ovf_dests.empty()) {
+    sc.ensure_overflow(n_);
+    for (const Slot d : sc.ovf_dests) {
+      const std::size_t m = pk_count(sc.dest_count[d]);
+      sc.bitmap_off[d] = static_cast<std::uint32_t>(sc.ovf_bitmap.size());
+      sc.ovf_bitmap.resize(sc.ovf_bitmap.size() + m);  // value-initializes
+      sc.bounce_base[d] = static_cast<std::uint32_t>(bounce_total);
+      sc.bounce_cursor[d] = static_cast<std::uint32_t>(bounce_total);
+      bounce_total += m - cap;
+    }
+    // The bitmap buffer has its final size now; plant the per-destination
+    // accept-flag cursors the placement pass consumes in arrival order.
+    for (const Slot d : sc.ovf_dests)
+      sc.ovf_cursor[d] = sc.ovf_bitmap.data() + sc.bitmap_off[d];
+  }
   // bounce_refs cursors are 32-bit message indices.
   DGR_CHECK_MSG(bounce_total < kOvfBit,
                 "round too large for 32-bit delivery cursors ("
                     << bounce_total << " bounced)");
+  // Past every check: the touched lists may leave their blocks (a throw
+  // above leaves them there for the next round's cleanup).
+  sc.touched_dests.resize(touched_total);
+  // A skewed block's learn pass leaves its place task for the spread job
+  // after placement (learn_spread).
+  std::size_t spread_blocks = 0;
+  if (par && trailered) {
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      DeliverBlock& blk = sc.blocks[b];
+      blk.spread_learn = blk.words >= kSpreadLearnWords &&
+                         blk.words * nblocks >= 2 * layout_words;
+      spread_blocks += blk.spread_learn ? 1 : 0;
+    }
+  }
+  const std::size_t accept_msgs = counted - bounce_total;
   // Every sent message was dropped, accepted or bounced.
-  const std::uint64_t sent = dropped + accept_msgs + bounce_total;
+  const std::uint64_t sent = dropped + counted;
   stats_.messages_sent += sent;
   stats_.messages_dropped += dropped;
-  // The bitmap buffer has its final size now; plant the per-destination
-  // accept-flag cursors the placement pass consumes in arrival order.
-  for (const Slot d : sc.ovf_dests)
-    sc.ovf_cursor[d] = sc.ovf_bitmap.data() + sc.bitmap_off[d];
 
   if (sc.bounce_cap < bounce_total)
     grow_discard(sc.bounce_refs, sc.bounce_cap, bounce_total, 256);
@@ -622,50 +653,43 @@ void Network::deliver() {
     round_ns_.rng = mono_ns() - tmark;
     tmark = mono_ns();
   }
-  // In clique mode every node already knows every ID: skip the per-message
-  // knowledge update (and its random access into know_) entirely.
-  const bool learning = !is_clique();
-  std::uint64_t* const inbox = sc.inbox_words.get();
 
-  // Pass 3 — placement. Each accepted record is copied exactly once,
-  // verbatim, from its outbox arena straight to its final dest-major inbox
-  // position, streaming sources in slot order — nothing is decoded;
-  // InboxView reads the records in place and the learn pass below consumes
-  // their trailers. Bounces are spilled as references and returned
-  // dest-major below, the order Ctx::bounced() has always exposed.
-  //
-  // Small rounds place the whole slot range on the calling thread. Larger
-  // ones split it: each task owns a contiguous destination-slot range, so
-  // every destination's cursor and inbox slice has exactly one writer.
-  // Tasks re-stream all outbox headers and place only their own range,
-  // which preserves each destination's arrival order (global source order)
-  // — the transcript is bit-identical to the one-task walk. Ranges are cut
-  // at ~equal inbox-word shares from the layout prefix sums, so the
-  // re-stream is the only duplicated work.
-  const bool par_place = threads_ > 1 && sc.touched_dests.size() > 1 &&
-                         layout_words >= kParallelDeliverWords;
-  if (!par_place) {
-    place_dest_range(0, static_cast<Slot>(n_), trailered);
+  // Placement and the learn pass, per block (place_block): one task over
+  // [0, n) streaming the arenas, or one executor task per block reading its
+  // buckets.
+  if (!par) {
+    place_block(0, 0, static_cast<Slot>(n_), /*direct=*/true, trailered,
+                timed);
   } else {
-    const std::size_t tasks = threads_;
-    place_part_.assign(tasks + 1, static_cast<Slot>(n_));
-    place_part_[0] = 0;
-    for (std::size_t t = 1; t < tasks; ++t) {
-      const std::size_t target = layout_words * t / tasks;
-      const auto it = std::lower_bound(
-          sc.touched_dests.begin(), sc.touched_dests.end(), target,
-          [&](Slot d, std::size_t tgt) { return sc.inbox_lo[d] < tgt; });
-      place_part_[t] =
-          it == sc.touched_dests.end() ? static_cast<Slot>(n_) : *it;
-    }
-    Executor::instance().parallel_for(lease_, tasks, [&](std::size_t t) {
-      place_dest_range(place_part_[t], place_part_[t + 1], trailered);
+    Executor::instance().parallel_for(lease_, nblocks, [&](std::size_t b) {
+      place_block(b, block_lo(b), block_lo(b + 1), /*direct=*/false,
+                  trailered, timed);
     });
   }
+  const std::uint64_t t_blocks = timed ? mono_ns() : 0;
+  if (spread_blocks != 0) {
+    // nblocks chunks of equal inbox words per skewed block, in slot order.
+    Executor::instance().parallel_for(
+        lease_, spread_blocks * nblocks, [&](std::size_t k) {
+          std::size_t b = 0;
+          for (std::size_t skip = k / nblocks;; ++b) {
+            if (sc.blocks[b].spread_learn && skip-- == 0) break;
+          }
+          learn_spread(b, k % nblocks, nblocks);
+        });
+  }
+  const std::uint64_t t_spread = timed ? mono_ns() : 0;
+  std::uint64_t round_max_recv = 0;
+  for (std::size_t b = 0; b < nblocks; ++b)
+    round_max_recv = std::max(round_max_recv, sc.blocks[b].max_recv);
+  stats_.max_recv_in_round =
+      std::max(stats_.max_recv_in_round, round_max_recv);
+  // Bounces are spilled as references during placement and returned
+  // dest-major here, the order Ctx::bounced() has always exposed. After
+  // placement each overflowing destination's bounce cursor sits at the end
+  // of its run.
   for (const Slot d : sc.ovf_dests) {
-    const std::size_t lo = sc.bounce_base[d];
-    const std::size_t hi = lo + pk_count(sc.dest_count[d]) - cap;
-    for (std::size_t k = lo; k < hi; ++k) {
+    for (std::size_t k = sc.bounce_base[d]; k < sc.bounce_cursor[d]; ++k) {
       const auto& r = sc.bounce_refs[k];
       if (sc.bounced[r.src].empty()) sc.bounce_srcs.push_back(r.src);
       Bounced& b = sc.bounced[r.src].emplace_back();
@@ -677,6 +701,7 @@ void Network::deliver() {
   // destination's delivered records from its inbox slice, then its bounced
   // references — both lists in arrival order (see trace.h).
   if (trace_) [[unlikely]] {
+    const std::uint64_t* const inbox = sc.inbox_words.get();
     for (const Slot d : sc.touched_dests) {
       const std::uint64_t* p = inbox + sc.inbox_lo[d];
       for (std::uint32_t i = 0; i < sc.inbox_len[d]; ++i) {
@@ -684,10 +709,8 @@ void Network::deliver() {
                         MessageOutcome::kDelivered});
         p += wire::record_words(p, trailered);
       }
-      const std::size_t m = pk_count(sc.dest_count[d]);
-      if (m <= cap) continue;
-      const std::size_t lo = sc.bounce_base[d];
-      for (std::size_t k = lo; k < lo + m - cap; ++k) {
+      if ((sc.inbox_cur[d] & kOvfBit) == 0) continue;
+      for (std::size_t k = sc.bounce_base[d]; k < sc.bounce_cursor[d]; ++k) {
         const auto& r = sc.bounce_refs[k];
         trace_->record({stats_.rounds, r.src, d, wire::tag(r.enc),
                         MessageOutcome::kBounced});
@@ -697,44 +720,27 @@ void Network::deliver() {
   stats_.messages_delivered += accept_msgs;
   stats_.messages_bounced += bounce_total;
   if (timed) {
-    round_ns_.placement = mono_ns() - tmark;
-    tmark = mono_ns();
-  }
-
-  // Knowledge post-pass, dest-major over the contiguous inbox arena:
-  // delivery teaches the receiver the sender's ID plus every ID word in the
-  // payload (the packet-header analogy from message.h). Running it here —
-  // instead of inline during source-order placement — loads each receiver's
-  // knowledge table once per round rather than once per message in source
-  // order, which at large n is the difference between streaming and
-  // DRAM-random learns. Knowledge updates are idempotent and commutative,
-  // so the reordering cannot change any observable state. The batch runs
-  // straight over the records' contiguous ID-slot trailers (learn_dest) —
-  // send-side checks resolved every forwarded ID's slot already, so the
-  // pass never touches the IdMap.
-  if (learning) {
-    // Knowledge is per-destination state, so per-destination tasks are
-    // race-free. The chunked claim keeps a skewed fan-in (one destination
-    // holding most of the traffic) from serializing the pass behind one
-    // fat static slice: tasks that finish their light destinations early
-    // keep claiming more from the shared queue.
-    const bool par_learn = threads_ > 1 && sc.touched_dests.size() > 1 &&
-                           layout_words >= kParallelDeliverWords;
-    if (!par_learn) {
-      for (const Slot d : sc.touched_dests) learn_dest(d, inbox);
-    } else {
-      const std::size_t cnt = sc.touched_dests.size();
-      const std::size_t chunk =
-          std::max<std::size_t>(1, cnt / (std::size_t{threads_} * 8));
-      Executor::instance().parallel_for(
-          lease_, cnt,
-          [&](std::size_t i) { learn_dest(sc.touched_dests[i], inbox); },
-          chunk);
+    // The block tasks timed their placement and learn passes separately;
+    // the job's wall time is split between the two phases in that ratio,
+    // and the serial bounce spill and trace count as placement. A skipped
+    // learn pass (clique mode) reports zero, not the branch overhead.
+    std::uint64_t place_ns = 0;
+    std::uint64_t learn_ns = 0;
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      place_ns += sc.blocks[b].place_ns;
+      learn_ns += sc.blocks[b].learn_ns;
     }
-  }
-  if (timed) {
-    // A skipped pass (clique mode) reports zero, not the branch overhead.
-    round_ns_.learn = learning ? mono_ns() - tmark : 0;
+    // The spread learn job, if any, is learn time whole.
+    const std::uint64_t job_ns = t_blocks - tmark;
+    round_ns_.learn =
+        (trailered && place_ns + learn_ns != 0
+             ? static_cast<std::uint64_t>(static_cast<double>(job_ns) *
+                                          static_cast<double>(learn_ns) /
+                                          static_cast<double>(place_ns +
+                                                              learn_ns))
+             : 0) +
+        (spread_blocks != 0 ? t_spread - t_blocks : 0);
+    round_ns_.placement = mono_ns() - tmark - round_ns_.learn;
     stats_.phase_ns.body += round_ns_.body;
     stats_.phase_ns.sort += round_ns_.sort;
     stats_.phase_ns.rng += round_ns_.rng;
@@ -742,9 +748,8 @@ void Network::deliver() {
     stats_.phase_ns.learn += round_ns_.learn;
   }
 
-  // Tail — compute the next round's frontier and restore the between-round
-  // invariants (dest_count returns to all-zero; touched_dests hands the
-  // recipient list to the next cleanup).
+  // Tail — compute the next round's frontier and hand the recipient list to
+  // the next cleanup (place_block already re-zeroed dest_count).
   wake_scratch_.clear();
   for (auto& out : sc.outboxes) {
     // Worker slices are contiguous and ascending, so concatenating the
@@ -764,11 +769,6 @@ void Network::deliver() {
     sorted_union_into(active_, sc.touched_dests, active_scratch_);
     sorted_union_into(active_, wake_scratch_, active_scratch_);
     sorted_union_into(active_, sc.bounce_srcs, active_scratch_);
-  }
-  if (dense_sweep) {
-    std::fill(sc.dest_count.begin(), sc.dest_count.end(), 0u);
-  } else {
-    for (const Slot d : sc.touched_dests) sc.dest_count[d] = 0;
   }
   sc.inbox_dests.swap(sc.touched_dests);
   sc.touched_dests.clear();
@@ -793,45 +793,282 @@ void Network::deliver() {
         frontier_track_ ? static_cast<std::uint32_t>(active_.size()) : 0;
     smp.frontier_tracked = frontier_track_;
     smp.crashed = static_cast<std::uint32_t>(crashed_n_);
-    smp.dense_sweep = dense_sweep;
+    // Round-level: at least 1/kDenseSweep of all destinations touched.
+    smp.dense_sweep = sc.inbox_dests.size() >= n_ / kDenseSweep;
     smp.sparse_dispatch = sparse_dispatch_;
     smp.phase_ns = round_ns_;
     telemetry_->on_round(smp);
   }
 }
 
-// The one placement loop: re-stream every outbox arena in global source
-// order, placing only the records whose destination falls in
-// [dst_lo, dst_hi) — [0, n) for the whole round on one thread, or one
-// parallel task's range. Tombstoned records (dst == kNoSlot) fail the
-// range check for every range, since ranges never extend past n_. Each
-// destination's inbox_cur / ovf_cursor / bounce_cursor has exactly one
-// writing task, so no synchronization is needed and per-destination
-// arrival order is global source order for any split.
-void Network::place_dest_range(Slot dst_lo, Slot dst_hi, bool trailered) {
-  RoundScratch& sc = *scr_;
-  std::uint64_t* const inbox = sc.inbox_words.get();
-  for (const auto& out : sc.outboxes) {
-    const std::uint64_t* p = out.buf.get();
-    const std::uint64_t* const end = p + out.len;
+// Step 1 of a block-parallel round. Runs on the body task that filled the
+// arena (or on the calling thread after a serial body): one walk of the
+// arena's record headers, appending each record's bucket entry to its
+// destination block's bucket. An arena too large for the entries' offsets
+// is left unbucketed; its round is delivered serially.
+void Network::bucket_arena(unsigned a) {
+  OutArena& out = scr_->outboxes[a];
+  if (out.len >= Bucket::kMaxArenaWords) return;
+  const bool trailered = !is_clique();
+  const std::uint64_t* const buf = out.buf.get();
+  Bucket* const buckets = out.buckets.data();
+  for (std::size_t off = 0; off < out.len;) {
+    const std::uint64_t* p = buf + off;
+    const Slot dst = wire::dst(p);
+    const Slot b = dst / block_slots_;
+    const std::size_t rl = wire::record_words(p, trailered);
+    buckets[b].recs.push_back(Bucket::entry(off, rl, dst - b * block_slots_));
+    off += rl;
+  }
+}
+
+// Link loss: the message silently disappears; the sender learns nothing
+// (unlike a capacity bounce). A crashed destination behaves identically —
+// the sender cannot tell the difference. Asked of every record in global
+// source order, so the draws consume the delivery stream in that order.
+// Callers draw from a local copy of the stream, which the compiler can
+// keep in registers across the arena writes.
+bool Network::drop_draw(Slot dst, Rng& rng) const {
+  return crashed_[dst] || (cfg_.drop_probability > 0.0 &&
+                           rng.chance(cfg_.drop_probability));
+}
+
+void Network::drop_record(std::uint64_t* p) {
+  if (trace_)
+    trace_->record({stats_.rounds, wire::src(p), wire::dst(p), wire::tag(p),
+                    MessageOutcome::kDropped});
+  wire::retarget(p, kNoSlot);  // tombstone: every later pass skips it
+}
+
+std::uint64_t Network::drop_pass(Rng& rng, bool trailered) {
+  Rng r = rng;
+  std::uint64_t dropped = 0;
+  for (auto& out : scr_->outboxes) {
+    std::uint64_t* p = out.buf.get();
+    std::uint64_t* const end = p + out.len;
     while (p < end) {
-      const std::uint64_t* rec = p;
-      const std::size_t rl = wire::record_words(p, trailered);
-      p += rl;
-      const Slot dst = wire::dst(rec);
-      if (dst < dst_lo || dst >= dst_hi) continue;
-      const std::uint32_t cur = sc.inbox_cur[dst];
-      if (cur & kOvfBit) {
-        if (*sc.ovf_cursor[dst]++ == 0) {
-          sc.bounce_refs[sc.bounce_cursor[dst]++] = {rec, wire::src(rec)};
-          continue;
-        }
+      if (drop_draw(wire::dst(p), r)) {
+        drop_record(p);
+        ++dropped;
       }
-      sc.inbox_cur[dst] = cur + static_cast<std::uint32_t>(rl);
-      std::uint64_t* q = inbox + (cur & ~kOvfBit);
-      for (std::size_t i = 0; i < rl; ++i) q[i] = rec[i];
+      p += wire::record_words(p, trailered);
     }
   }
+  rng = r;
+  return dropped;
+}
+
+// Step 2 for one block: clear the inbox extents the last round left in
+// [lo, hi), then count the block's records — straight from the arena
+// streams (`direct`, the serial round) or from its buckets in arena order —
+// into its dest_count entries. The block names each destination in its
+// touched list the first time it is counted, and in its overflow list the
+// moment it passes capacity. Tombstoned (dropped) records count nowhere.
+// With `filter` set, the direct walk makes the round's drop draws from
+// `rng` as it goes (the serial round's one pass over the headers) and
+// returns the number dropped; the bucket walk instead reads each record's
+// destination, which drop_pass may have tombstoned, and never touches
+// `rng`. Without `filter` a bucket entry alone says where its record goes.
+std::uint64_t Network::count_block(std::size_t b, Slot lo, Slot hi,
+                                   bool direct, bool filter, bool trailered,
+                                   Rng& rng) {
+  RoundScratch& sc = *scr_;
+  DeliverBlock& blk = sc.blocks[b];
+  clear_inbox_len(lo, hi);
+  blk.ovf.clear();
+  const auto cap = static_cast<std::size_t>(capacity_);
+  std::uint64_t* const dest_count = sc.dest_count.data();
+  std::size_t words = 0;
+  std::size_t msgs = 0;
+  std::uint64_t dropped = 0;
+  const auto count = [&](Slot dst, std::size_t rl) {
+    if (dst == kNoSlot) return;
+    std::uint64_t& c = dest_count[dst];
+    if (c == 0) blk.touched.push_back(dst);
+    c += pack_one(rl);
+    if (pk_count(c) == cap + 1) blk.ovf.push_back(dst);
+    words += rl;
+    ++msgs;
+  };
+  Rng r = rng;  // the direct walk's drop draws (see drop_draw)
+  for (const auto& out : sc.outboxes) {
+    std::uint64_t* const buf = out.buf.get();
+    if (direct) {
+      for (std::uint64_t* p = buf; p < buf + out.len;) {
+        const std::size_t rl = wire::record_words(p, trailered);
+        const Slot dst = wire::dst(p);
+        if (filter && drop_draw(dst, r)) {
+          drop_record(p);
+          ++dropped;
+        } else {
+          count(dst, rl);
+        }
+        p += rl;
+      }
+    } else {
+      for (const std::uint64_t e : out.buckets[b].recs) {
+        count(filter ? wire::dst(buf + Bucket::offset(e))
+                     : lo + Bucket::rel_dst(e),
+              Bucket::words(e));
+      }
+    }
+  }
+  blk.words = words;
+  blk.msgs = msgs;
+  // Overflow lists fill in arrival order; they are short, so sort them
+  // here. Touched lists are ordered in place_block.
+  std::sort(blk.ovf.begin(), blk.ovf.end());
+  if (direct) rng = r;
+  return dropped;
+}
+
+// O(last round's recipients in range) cleanup of the inbox extents the
+// previous delivery wrote; a near-dense range uses a sequential fill.
+void Network::clear_inbox_len(Slot lo, Slot hi) {
+  RoundScratch& sc = *scr_;
+  const auto first =
+      std::lower_bound(sc.inbox_dests.begin(), sc.inbox_dests.end(), lo);
+  const auto last = std::lower_bound(first, sc.inbox_dests.end(), hi);
+  if (static_cast<std::size_t>(last - first) >= (hi - lo) / kDenseSweep) {
+    std::fill(sc.inbox_len.begin() + lo, sc.inbox_len.begin() + hi, 0u);
+  } else {
+    for (auto it = first; it != last; ++it) sc.inbox_len[*it] = 0;
+  }
+}
+
+// Step 3 for one block. First the per-destination layout, in
+// destination-slot order: the block's touched list is ordered into its
+// extent of the round's list (sorted, or — for a near-dense block — rebuilt
+// by a sequential sweep of the range), and each destination gets its inbox
+// extent and write cursor from the block's arena offset. An oversubscribed
+// destination keeps its full pre-overflow word extent (accepted records
+// pack at its front, the bounced records' words are slack the next round
+// reclaims) and its cursor carries the kOvfBit flag.
+//
+// Then the one placement loop: each accepted record is copied exactly once,
+// verbatim, from its outbox arena straight to its final dest-major inbox
+// position — nothing is decoded; InboxView reads the records in place.
+// Records are visited in global source order (arenas in slice order, each
+// arena's stream or bucket in stream order), so every destination receives
+// its messages in arrival order. A flagged destination consults its
+// acceptance bitmap per arrival and spills a bounce reference for each
+// rejected one.
+//
+// Last, dest-major over the block's contiguous inbox slices, the knowledge
+// learn pass: delivery teaches the receiver the sender's ID plus every ID
+// word in the payload (the packet-header analogy from message.h). Running
+// it dest-major instead of inline during source-order placement loads each
+// receiver's knowledge table once per round rather than once per message,
+// and it reads the records' ID-slot trailers, so it never touches the
+// IdMap. Knowledge updates are idempotent and commutative, so the pass
+// order is unobservable.
+void Network::place_block(std::size_t b, Slot lo, Slot hi, bool direct,
+                          bool trailered, bool timed) {
+  RoundScratch& sc = *scr_;
+  DeliverBlock& blk = sc.blocks[b];
+  const std::uint64_t t0 = timed ? mono_ns() : 0;
+  const std::size_t count = blk.touched.size();
+  Slot* const touched = sc.touched_dests.data() + blk.touched_off;
+  const bool dense = count >= (hi - lo) / kDenseSweep;
+  if (dense) {
+    Slot* t = touched;
+    for (Slot d = lo; d < hi; ++d) {
+      if (sc.dest_count[d] != 0) *t++ = d;
+    }
+  } else {
+    std::sort(blk.touched.begin(), blk.touched.end());
+    std::copy(blk.touched.begin(), blk.touched.end(), touched);
+  }
+  blk.touched.clear();
+  const auto cap = static_cast<std::size_t>(capacity_);
+  std::size_t words = blk.base;
+  std::uint64_t max_recv = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Slot d = touched[i];
+    const std::uint64_t dc = sc.dest_count[d];
+    const std::size_t m = pk_count(dc);
+    max_recv = std::max<std::uint64_t>(max_recv, m);
+    sc.inbox_lo[d] = words;
+    sc.inbox_cur[d] = static_cast<std::uint32_t>(words) |
+                      (m > cap ? kOvfBit : 0u);
+    sc.inbox_len[d] = static_cast<std::uint32_t>(std::min(m, cap));
+    words += pk_words(dc);
+  }
+  blk.max_recv = max_recv;
+
+  std::uint64_t* const inbox = sc.inbox_words.get();
+  const auto place = [&sc, inbox](const std::uint64_t* rec, std::size_t rl) {
+    const Slot dst = wire::dst(rec);
+    if (dst == kNoSlot) return;  // tombstoned by the drop pass
+    const std::uint32_t cur = sc.inbox_cur[dst];
+    if (cur & kOvfBit) {
+      if (*sc.ovf_cursor[dst]++ == 0) {
+        sc.bounce_refs[sc.bounce_cursor[dst]++] = {rec, wire::src(rec)};
+        return;
+      }
+    }
+    sc.inbox_cur[dst] = cur + static_cast<std::uint32_t>(rl);
+    std::uint64_t* q = inbox + (cur & ~kOvfBit);
+    for (std::size_t i = 0; i < rl; ++i) q[i] = rec[i];
+  };
+  for (const auto& out : sc.outboxes) {
+    const std::uint64_t* const buf = out.buf.get();
+    if (direct) {
+      for (const std::uint64_t* p = buf; p < buf + out.len;) {
+        const std::size_t rl = wire::record_words(p, trailered);
+        place(p, rl);
+        p += rl;
+      }
+    } else {
+      for (const std::uint64_t e : out.buckets[b].recs)
+        place(buf + Bucket::offset(e), Bucket::words(e));
+    }
+  }
+  // The counts are spent (the bounce runs end at their cursors): restore
+  // the all-zero invariant over the block.
+  if (dense) {
+    std::fill(sc.dest_count.begin() + lo, sc.dest_count.begin() + hi, 0u);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) sc.dest_count[touched[i]] = 0;
+  }
+  const std::uint64_t t1 = timed ? mono_ns() : 0;
+  // In clique mode every node already knows every ID: skip the learn pass
+  // (and its random access into know_) entirely. A skewed block learns in
+  // the spread job instead.
+  if (trailered && !blk.spread_learn) {
+    for (std::size_t i = 0; i < count; ++i) learn_dest(touched[i], inbox);
+  }
+  if (timed) {
+    blk.place_ns = t1 - t0;
+    blk.learn_ns = mono_ns() - t1;
+  }
+}
+
+// Chunk c of skewed block b's learn pass, one chunk per block of the
+// round: the destinations whose inbox slices start in the c-th of nblocks
+// equal shares of the block's inbox words. The block's slices are laid out
+// in touched-list order, so inbox_lo ascends along the list and each chunk
+// is a contiguous run of it found by binary search. A destination lies in
+// exactly one chunk, so each knowledge table still has one writing task.
+void Network::learn_spread(std::size_t b, std::size_t c,
+                           std::size_t nblocks) {
+  RoundScratch& sc = *scr_;
+  const DeliverBlock& blk = sc.blocks[b];
+  const Slot* const first = sc.touched_dests.data() + blk.touched_off;
+  const Slot* const last =
+      b + 1 < nblocks ? sc.touched_dests.data() + sc.blocks[b + 1].touched_off
+                      : sc.touched_dests.data() + sc.touched_dests.size();
+  const auto starts_before = [&sc](Slot d, std::size_t w) {
+    return sc.inbox_lo[d] < w;
+  };
+  const Slot* lo = std::lower_bound(first, last,
+                                    blk.base + blk.words * c / nblocks,
+                                    starts_before);
+  const Slot* hi = std::lower_bound(lo, last,
+                                    blk.base + blk.words * (c + 1) / nblocks,
+                                    starts_before);
+  const std::uint64_t* const inbox = sc.inbox_words.get();
+  for (const Slot* d = lo; d < hi; ++d) learn_dest(*d, inbox);
 }
 
 // Draw destination d's accepted capacity-sized subset (uniform via partial

@@ -18,7 +18,9 @@
 // m.src_ref() and m.ref_word(i) of a delivered message. Protocols keep
 // handles in their overlays and send to them; a NodeId is resolved only
 // where an ID arrives as a bare number (an algorithm's output, NCC1's
-// all_ids), at the cost of one IdMap lookup (NetStats::id_resolutions).
+// all_ids) or, on NCC1 networks, where m.ref_word(i) reads an ID word
+// (clique records carry no slot trailer), at the cost of one IdMap lookup
+// each, counted against the reading node (NetStats::id_resolutions).
 //
 // Active-set (sparse) rounds: net.round_active(body) runs the body only for
 // the round's *active* slots — slots that received a message or a bounce in
@@ -44,36 +46,38 @@
 //     variable-length records (a one-word message costs 24 bytes, not
 //     sizeof(Message)); arenas concatenate to global source-slot order,
 //     making the transcript identical for any thread count;
-//   - deliver() counting-sorts messages by destination: one re-stream of
-//     the record headers builds the per-destination counts and the touched
-//     list (Ctx::send keeps no per-send bookkeeping). It then copies each
-//     wire record exactly once, verbatim, straight to its final position in a
-//     shared flat dest-major inbox arena of variable-length records — the
-//     receive side is zero-copy end to end: no Message materialization,
-//     no per-message metadata sidecar. Ctx::inbox_view() hands bodies an
-//     InboxView whose MessageRef elements decode fields lazily from the
-//     records in place. An attached Trace reads its events off the same
-//     placement after the fact (a strict-mode overflow throws before any
-//     delivery events). The delivery-time learn pass runs dest-major over
-//     the records' contiguous ID-slot trailers, never touching the IdMap;
-//     a destination already in the dense bitset form sets its bits
-//     directly;
-//   - placement is one loop over a destination-slot range; the delivery
-//     tail parallelizes across the executor once a round carries enough
-//     traffic (threads > 1): the placement loop runs as per-worker jobs
-//     over contiguous destination ranges cut from the counting-sort prefix
-//     sums (each worker re-streams the outbox headers but copies only its
-//     range's records, so every per-destination cursor and inbox slice has
-//     exactly one writer and per-destination arrival order — global
-//     source-slot order — is preserved verbatim); the learn pass fans out
-//     one task per touched destination, claimed in chunks (knowledge
-//     tables are per-destination, so tasks never share state); and the
-//     overflow-acceptance bitmap pre-draw snapshots the delivery RNG at
-//     each overflowing destination's draw block in a cheap serial prefix
-//     scan, then per-worker jobs replay their destinations' draws from the
-//     snapshots — bit-identical to the serial stream. All three are
-//     scheduling choices only: transcripts stay bit-identical at any
-//     thread count (tests/test_parallel_deliver.cpp pins this);
+//   - deliver() counting-sorts messages by destination into fixed
+//     delivery blocks (contiguous destination-slot ranges, one per worker,
+//     set by n and the thread count alone). A serial round is one block
+//     over [0, n) that streams the record headers for its counts (Ctx::send
+//     keeps no per-send bookkeeping). A block-parallel round — threads > 1
+//     and enough outbox traffic — buckets each arena's records by
+//     destination block in the body task that wrote them, counts each
+//     block from its buckets in one executor job, runs a serial prefix
+//     over the block totals, and then, in one executor task per block,
+//     lays out the block's inboxes, places its records and runs its learn
+//     pass. Each wire record is copied exactly once, verbatim, straight to
+//     its final position in a shared flat dest-major inbox arena of
+//     variable-length records — the receive side is zero-copy end to end:
+//     no Message materialization, no per-message metadata sidecar.
+//     Ctx::inbox_view() hands bodies an InboxView whose MessageRef elements
+//     decode fields lazily from the records in place. An attached Trace
+//     reads its events off the same placement after the fact (a
+//     strict-mode overflow throws before any delivery events). The
+//     delivery-time learn pass runs dest-major over the records'
+//     contiguous ID-slot trailers, never touching the IdMap; a destination
+//     already in the dense bitset form sets its bits directly;
+//   - every block's records are placed in global source order (arenas in
+//     slice order, each stream or bucket in stream order), and every
+//     destination's counts, cursors, inbox slice and knowledge table have
+//     exactly one writing task, so per-destination arrival order is
+//     preserved verbatim. Only the two passes that consume the delivery
+//     RNG in a set order stay serial: the link-loss/crash drop draws, in
+//     source order, and the overflow-acceptance pre-draw's snapshot scan,
+//     in destination order, whose per-destination replays then run on
+//     per-worker jobs — bit-identical to the serial stream. All of this is
+//     scheduling only: transcripts stay bit-identical at any thread count
+//     (tests/test_parallel_deliver.cpp pins this);
 //   - every per-round sweep is list-driven: touched destinations, bounce
 //     sources, and the active frontier name exactly the entries to visit
 //     and re-zero, so a round costs O(traffic + frontier), not O(n) (near-
@@ -82,9 +86,10 @@
 //     density; the choice follows the round's own touched count and is
 //     pure bookkeeping strategy, so transcripts are bit-identical either
 //     way);
-//   - datapath memory is O(traffic), not O(threads·n): outbox arenas grow
-//     with the words sent, the per-destination counts are one shared
-//     table, and the overflow/bounce cursor tables materialize lazily on
+//   - datapath memory is O(traffic), not O(threads·n): outbox arenas and
+//     their block buckets grow with the records sent, the per-destination
+//     counts are one shared table that every block writes only in its own
+//     range, and the overflow/bounce cursor tables materialize lazily on
 //     first use. Each Network owns its round-transient bundle
 //     (RoundScratch) and frees it on destruction;
 //   - a send to a NodeRef carries its destination slot, and an ID word
@@ -98,6 +103,7 @@
 //     lean inlined path per message.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <span>
@@ -156,7 +162,8 @@ class MessageRef {
   }
   /// ID word i as a handle. On learning networks it is read from the
   /// record's slot trailer (written by the sender's send); clique records
-  /// carry no trailer, so there the ID is looked up.
+  /// carry no trailer, so there the ID is looked up, and the lookup is
+  /// counted in NetStats::id_resolutions against the reading node.
   NodeRef ref_word(std::size_t i) const {
     DGR_CHECK(i < size() && (id_mask() & (1u << i)));
     if (map_ == nullptr) {
@@ -164,6 +171,7 @@ class MessageRef {
       return NodeRef(static_cast<Slot>(
           wire::trailer(rec_)[wire::trailer_words(below)]));
     }
+    ++*resolutions_;
     return NodeRef(map_->find(static_cast<NodeId>(rec_[wire::kHeaderWords + i])));
   }
 
@@ -178,11 +186,15 @@ class MessageRef {
 
  private:
   friend class InboxView;
-  MessageRef(const std::uint64_t* rec, const NodeId* ids, const IdMap* map)
-      : rec_(rec), ids_(ids), map_(map) {}
+  MessageRef(const std::uint64_t* rec, const NodeId* ids, const IdMap* map,
+             std::uint32_t* resolutions)
+      : rec_(rec), ids_(ids), map_(map), resolutions_(resolutions) {}
   const std::uint64_t* rec_;
   const NodeId* ids_;
-  const IdMap* map_;  // clique networks only; null when records are trailered
+  // Clique networks only; both null when records are trailered. The
+  // counter is the reading Ctx's IdMap lookup count.
+  const IdMap* map_;
+  std::uint32_t* resolutions_;
 };
 
 /// Zero-copy view of one node's inbox for the current round: an input range
@@ -210,7 +222,7 @@ class InboxView {
                      "an earlier round and its arena has been repacked (views "
                      "are only valid inside the round body that created "
                      "them)");
-      return MessageRef(p_, ids_, map_);
+      return MessageRef(p_, ids_, map_, resolutions_);
     }
     iterator& operator++() {
       p_ += wire::record_words(p_, map_ == nullptr);
@@ -225,6 +237,7 @@ class InboxView {
     const std::uint64_t* p_ = nullptr;
     const NodeId* ids_ = nullptr;
     const IdMap* map_ = nullptr;
+    std::uint32_t* resolutions_ = nullptr;
     std::uint32_t left_ = 0;
 #ifndef NDEBUG
     const std::uint64_t* live_gen_ = nullptr;
@@ -240,6 +253,7 @@ class InboxView {
     it.p_ = base_;
     it.ids_ = ids_;
     it.map_ = map_;
+    it.resolutions_ = resolutions_;
     it.left_ = len_;
 #ifndef NDEBUG
     it.live_gen_ = live_gen_;
@@ -253,21 +267,26 @@ class InboxView {
  private:
   friend class Network;
   // `map` is the IdMap on clique networks (untrailered records) and null on
-  // learning networks.
+  // learning networks; `resolutions` is then the reading Ctx's lookup
+  // counter (null on learning networks).
 #ifndef NDEBUG
   InboxView(const std::uint64_t* base, std::uint32_t len, const NodeId* ids,
-            const IdMap* map, const std::uint64_t* live_gen)
-      : base_(base), len_(len), ids_(ids), map_(map), live_gen_(live_gen),
-        gen_(*live_gen) {}
+            const IdMap* map, std::uint32_t* resolutions,
+            const std::uint64_t* live_gen)
+      : base_(base), len_(len), ids_(ids), map_(map),
+        resolutions_(resolutions), live_gen_(live_gen), gen_(*live_gen) {}
 #else
   InboxView(const std::uint64_t* base, std::uint32_t len, const NodeId* ids,
-            const IdMap* map, const std::uint64_t* /*live_gen*/)
-      : base_(base), len_(len), ids_(ids), map_(map) {}
+            const IdMap* map, std::uint32_t* resolutions,
+            const std::uint64_t* /*live_gen*/)
+      : base_(base), len_(len), ids_(ids), map_(map),
+        resolutions_(resolutions) {}
 #endif
   const std::uint64_t* base_;
   std::uint32_t len_;
   const NodeId* ids_;
   const IdMap* map_;
+  std::uint32_t* resolutions_;
 #ifndef NDEBUG
   const std::uint64_t* live_gen_;  // &Network::inbox_gen_
   std::uint64_t gen_;              // generation at creation
@@ -331,7 +350,9 @@ class Ctx {
   /// Zero-copy view of the messages delivered to this node at the start of
   /// the current round: MessageRefs decode fields lazily from the wire
   /// records in place. Valid only inside this round body (see InboxView).
-  InboxView inbox_view() const;
+  /// On NCC1 networks, MessageRef::ref_word lookups are counted against
+  /// this node in NetStats::id_resolutions.
+  InboxView inbox_view();
   /// This node's sends from the previous round that were bounced.
   std::span<const Bounced> bounced() const;
 
@@ -565,12 +586,41 @@ class Network {
   /// Phase timing is on exactly while a sink is attached or
   /// set_phase_timing(true); otherwise the engine reads no clocks.
   bool timing_on() const { return telemetry_ != nullptr || phase_timing_; }
-  /// The placement loop: walk every outbox arena in global source order and
-  /// place only the records whose destination slot falls in [dst_lo,
-  /// dst_hi) — [0, n) serially, or one parallel task's range. Each
-  /// destination's cursors and inbox slice have exactly one writer, and
-  /// per-destination arrival order is preserved.
-  void place_dest_range(Slot dst_lo, Slot dst_hi, bool trailered);
+  /// Delivery block b's destination-slot range (see DeliverBlock).
+  Slot block_lo(std::size_t b) const {
+    return static_cast<Slot>(std::min<std::size_t>(b * block_slots_, n_));
+  }
+  /// Append a bucket entry for every record in outbox arena `a` to the
+  /// arena's bucket for its destination block (a no-op for an arena too
+  /// large for the entries' offsets; its round is delivered serially).
+  void bucket_arena(unsigned a);
+  /// One record's link-loss / crash decision for destination `dst`, drawn
+  /// from `rng`. True if the record is dropped.
+  bool drop_draw(Slot dst, Rng& rng) const;
+  /// Drop the record at `p`: trace it and tombstone it.
+  void drop_record(std::uint64_t* p);
+  /// Serial drop filter of a block-parallel round: drop_draw over every
+  /// arena in global source order. Returns the number dropped.
+  std::uint64_t drop_pass(Rng& rng, bool trailered);
+  /// Zero inbox_len for last round's recipients in [lo, hi).
+  void clear_inbox_len(Slot lo, Slot hi);
+  /// Step 2 for one block: clear its range's old inbox extents and count
+  /// its records — from the arena streams (`direct`, the serial round) or
+  /// from its buckets — into dest_count, its touched and overflow lists
+  /// and its totals. `filter`: the round drops records — the direct walk
+  /// draws them from `rng` inline and returns the number dropped; the
+  /// bucket walk reads destinations drop_pass may have tombstoned.
+  std::uint64_t count_block(std::size_t b, Slot lo, Slot hi, bool direct,
+                            bool filter, bool trailered, Rng& rng);
+  /// Step 3 for one block: order its touched list into the round's list
+  /// and lay out its destinations, place its records — straight from the
+  /// arena streams (`direct`, the serial round) or from its buckets — then
+  /// re-zero its counts and run the learn pass over its destinations.
+  void place_block(std::size_t b, Slot lo, Slot hi, bool direct,
+                   bool trailered, bool timed);
+  /// Chunk c of nblocks of skewed block b's learn pass, split by the
+  /// block's inbox words (see kSpreadLearnWords).
+  void learn_spread(std::size_t b, std::size_t c, std::size_t nblocks);
   /// Overflow bitmap fill for one destination: the partial Fisher-Yates
   /// subset draw from `rng` (caller positions it — the shared delivery
   /// stream serially, or a per-destination snapshot on the parallel path).
@@ -578,12 +628,15 @@ class Network {
                             std::vector<std::uint32_t>& idx_scratch);
   /// Learn pass for one destination's contiguous inbox slice.
   void learn_dest(Slot d, const std::uint64_t* inbox);
-  InboxView make_inbox_view(Slot s) const {
+  /// `resolutions` is the reading Ctx's lookup counter; the view keeps it
+  /// only on clique networks, whose ref_word looks IDs up.
+  InboxView make_inbox_view(Slot s, std::uint32_t* resolutions) const {
     const std::uint32_t len = scr_->inbox_len[s];
     const std::uint64_t* base =
         len != 0 ? scr_->inbox_words.get() + scr_->inbox_lo[s] : nullptr;
-    return InboxView(base, len, ids_.data(), is_clique() ? &id_map_ : nullptr,
-                     &inbox_gen_);
+    const bool clique = is_clique();
+    return InboxView(base, len, ids_.data(), clique ? &id_map_ : nullptr,
+                     clique ? resolutions : nullptr, &inbox_gen_);
   }
   /// Cold path: re-runs the send checks in their documented order to throw
   /// the exact diagnostic; called only when the inlined fast checks failed.
@@ -634,14 +687,18 @@ class Network {
   // dense); written by execute_round before the job is submitted.
   std::vector<std::pair<std::size_t, std::size_t>> worker_span_;
 
+  // Delivery blocks: threads_ fixed destination ranges of block_slots_
+  // slots each (the last one clipped to n). bucketed_ says whether this
+  // round's body tasks already bucketed their arenas.
+  Slot block_slots_ = 0;
+  bool bucketed_ = false;
   // Parallel-delivery scratch (threads_ > 1 only). ovf_rng_ holds the
   // delivery-stream snapshot at each overflowing destination's draw block
   // (the seeded skip-ahead the parallel pre-draw replays from); ovf_part_
-  // and place_part_ are the per-task partition boundaries; ovf_idx_w_ is
-  // the per-task Fisher-Yates index scratch (worker-private, O(max m)).
+  // is the per-task partition; ovf_idx_w_ is the per-task Fisher-Yates
+  // index scratch (worker-private, O(max m)).
   std::vector<Rng> ovf_rng_;
   std::vector<std::size_t> ovf_part_;
-  std::vector<Slot> place_part_;
   std::vector<std::vector<std::uint32_t>> ovf_idx_w_;
   // Per-round phase times (written only while timing is on; see
   // set_phase_timing). Folded into stats_.phase_ns and the RoundSample.
@@ -790,8 +847,8 @@ inline void Ctx::send_to(Slot dst, NodeId to, Message& m) {
   ++sends_;
 }
 
-inline InboxView Ctx::inbox_view() const {
-  return net_.make_inbox_view(slot_);
+inline InboxView Ctx::inbox_view() {
+  return net_.make_inbox_view(slot_, &resolutions_);
 }
 
 inline std::span<const Bounced> Ctx::bounced() const {

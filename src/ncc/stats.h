@@ -34,7 +34,8 @@ struct NetStats {
   std::uint64_t max_send_in_round = 0;   ///< max per-node sends in any round
   std::uint64_t max_recv_in_round = 0;   ///< max per-node deliveries in any round
   /// Work counter, not transcript: NodeId -> Slot lookups round bodies made
-  /// (sends to a NodeId, bare ID words, Ctx::knows / Ctx::ref_of). Sends
+  /// (sends to a NodeId, bare ID words, Ctx::knows / Ctx::ref_of, and
+  /// MessageRef::ref_word on NCC1 networks). Sends
   /// and ID words given as NodeRef handles make none. Deterministic, but it
   /// differs between two protocols that send the same records by ID or by
   /// handle, so transcript fingerprints leave it out.

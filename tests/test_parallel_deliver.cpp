@@ -1,15 +1,19 @@
-// The parallel delivery tail (PR 8): placement, the knowledge learn pass,
-// and the overflow-acceptance pre-draw all fan out across the process-wide
-// executor once a round's traffic clears the parallelism grains — and the
-// transcript contract says nobody may be able to tell. These tests drive
-// workloads heavy enough to take every parallel path (the grains are ~2048
-// inbox words / ~512 oversubscribed arrivals) and pin the full observable
-// state bit-identical across thread counts {1,2,4,8}, sparse/dense
-// scheduling, traced/untraced delivery, and overflow policies — including
-// a skewed fan-in where one destination draws ~90% of all traffic, and
-// bench_engine's flood, sparse and 8-hot-destination overflow shapes. The
-// per-phase timing satellite is covered at the bottom: populated while
-// timing is on, all-zero (no clocks read) when detached.
+// Block-parallel delivery: once a round's outboxes clear the parallelism
+// grain, the count, layout, placement and knowledge learn passes run per
+// destination block (one fixed slot range per worker), and the
+// overflow-acceptance pre-draw fans out across the process-wide executor —
+// and the transcript contract says nobody may be able to tell. These tests
+// drive workloads heavy enough to take every parallel path (the grains are
+// ~2048 outbox words / ~512 oversubscribed arrivals) and pin the full
+// observable state bit-identical across thread counts {1,2,3,4,8},
+// sparse/dense scheduling, traced/untraced delivery, and overflow policies
+// — including a skewed fan-in where one destination draws ~90% of all
+// traffic, bench_engine's flood, sparse and 8-hot-destination overflow
+// shapes, and the block edges (uneven blocks, empty blocks, one-block
+// traffic, lossy and crashed networks, serial bodies feeding parallel
+// delivery, an NCC0 one-block fan-in whose learn pass is spread over the
+// workers). The per-phase timing satellite is covered at the bottom:
+// populated while timing is on, all-zero (no clocks read) when detached.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -80,10 +84,8 @@ RunFingerprint run_flood(unsigned threads, bool traced, Flood shape) {
 }
 
 // Skewed fan-in: ~90% of every round's traffic lands on one destination.
-// The word-balanced placement partition degenerates (one range holds
-// nearly all the words), the hot destination's overflow draw dominates the
-// pre-draw, and the chunked learn claim has one fat task — the exact
-// shapes the dynamic claiming exists for.
+// One delivery block holds nearly all the records, and the hot
+// destination's overflow draw dominates the pre-draw.
 RunFingerprint run_skewed_fan_in(unsigned threads, bool traced) {
   constexpr std::size_t kN = 384;
   ncc::Config cfg;
@@ -257,6 +259,179 @@ TEST(ParallelDeliver, StrictPolicyTranscriptMatchesBounceAcrossThreads) {
         << "strict threads=" << threads;
     EXPECT_TRUE(ref == run_ring(threads, ncc::OverflowPolicy::kBounce))
         << "bounce threads=" << threads;
+  }
+}
+
+// ---- Delivery block edges -----------------------------------------------
+// A block-parallel round splits the destinations into one fixed slot range
+// per worker, ceil(n / threads) slots wide. These shapes aim at the block
+// edges: a node count no thread count divides, traffic that lands in one
+// block (with a hot destination over capacity) or skips the middle blocks,
+// a lossy and crashed network whose serial drop pass feeds the per-block
+// count, and sparse rounds whose few active senders run their bodies on the
+// calling thread while their traffic is large enough to deliver in blocks.
+enum class Edge { kUneven, kOneBlockHot, kEmptyMiddle, kLossyCrashed,
+                  kSparseSerialBody };
+
+struct EdgeRun {
+  RunFingerprint fp;
+  std::uint64_t trace_digest = 0;
+  std::size_t trace_events = 0;
+};
+
+EdgeRun run_edge(Edge shape, unsigned threads, bool traced) {
+  constexpr std::size_t kN = 1001;  // divisible by none of 2, 3, 4, 8
+  constexpr std::size_t kRounds = 6;
+  ncc::Config cfg;
+  cfg.seed = 1001;
+  cfg.initial = ncc::InitialKnowledge::kClique;
+  cfg.threads = threads;
+  if (shape == Edge::kLossyCrashed) cfg.drop_probability = 0.15;
+  ncc::Network net(kN, cfg);
+  ncc::Trace trace;
+  if (traced) net.set_trace(&trace);
+  if (shape == Edge::kLossyCrashed) {
+    for (Slot s = 3; s < kN; s += 7) net.crash(s);
+  }
+
+  EdgeRun out;
+  RunFingerprint& fp = out.fp;
+  fp.inbox_digest.assign(kN, 0);
+  fp.bounce_digest.assign(kN, 0);
+  const int cap = net.capacity();
+  auto body = [&](Ctx& ctx) {
+    auto& in = fp.inbox_digest[ctx.slot()];
+    for (const auto m : ctx.inbox_view()) in = hash_mix(in, m.src(), m.word(0));
+    auto& bo = fp.bounce_digest[ctx.slot()];
+    for (const auto& b : ctx.bounced()) bo = hash_mix(bo, ctx.id_of(b.dst), b.msg.word(0));
+    for (int i = 0; i < cap / 2; ++i) {
+      std::size_t pick = 0;
+      switch (shape) {
+        case Edge::kUneven:
+        case Edge::kLossyCrashed:
+        case Edge::kSparseSerialBody:
+          pick = ctx.rng().below(kN);
+          break;
+        case Edge::kOneBlockHot:  // [0, 100) sits in block 0 at any width
+          pick = ctx.rng().chance(0.3) ? 5 : ctx.rng().below(100);
+          break;
+        case Edge::kEmptyMiddle:  // the first and last 60 slots only
+          pick = ctx.rng().below(120);
+          if (pick >= 60) pick += kN - 120;
+          break;
+      }
+      // Blocks are slot ranges, so the shapes pick destination slots.
+      ctx.send(net.ref_of(static_cast<Slot>(pick)),
+               make_msg(9).push(ctx.rng().below(1u << 20)));
+    }
+  };
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    if (shape == Edge::kSparseSerialBody) {
+      // 300 active senders (under the 2048-slot grain, so the body runs on
+      // the calling thread) send 300 * cap/2 three-word records, far past
+      // the 2048-word delivery grain.
+      net.clear_active();
+      for (Slot s = static_cast<Slot>(r % 3); s < 900; s += 3) net.wake(s);
+      net.round_active(body);
+    } else {
+      net.round(body);
+    }
+  }
+  fp.net = testing::net_fingerprint(net);
+  for (const auto& e : trace.events()) {
+    out.trace_digest = hash_mix(out.trace_digest, e.round,
+                                hash_mix(e.src, e.dst, e.tag));
+    out.trace_digest = hash_mix(out.trace_digest,
+                                static_cast<std::uint64_t>(e.outcome));
+  }
+  out.trace_events = trace.events().size();
+  return out;
+}
+
+TEST(ParallelDeliver, BlockEdgesTranscriptInvariant) {
+  for (const Edge shape : {Edge::kUneven, Edge::kOneBlockHot,
+                           Edge::kEmptyMiddle, Edge::kLossyCrashed,
+                           Edge::kSparseSerialBody}) {
+    const int k = static_cast<int>(shape);
+    const EdgeRun ref = run_edge(shape, 1, /*traced=*/false);
+    const EdgeRun ref_traced = run_edge(shape, 1, /*traced=*/true);
+    EXPECT_TRUE(ref.fp == ref_traced.fp) << "shape=" << k;
+    // Every round carries far more than the 2048-word delivery grain.
+    EXPECT_GT(ref.fp.stats().messages_sent, 6u * 2048u) << "shape=" << k;
+    if (shape == Edge::kOneBlockHot) {
+      EXPECT_GT(ref.fp.stats().messages_bounced, 0u);
+    }
+    if (shape == Edge::kLossyCrashed) {
+      EXPECT_GT(ref.fp.stats().messages_dropped, 0u);
+    }
+    for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+      EXPECT_TRUE(ref.fp == run_edge(shape, threads, false).fp)
+          << "shape=" << k << " threads=" << threads;
+      const EdgeRun traced = run_edge(shape, threads, true);
+      EXPECT_TRUE(ref.fp == traced.fp)
+          << "shape=" << k << " traced threads=" << threads;
+      EXPECT_EQ(ref_traced.trace_digest, traced.trace_digest)
+          << "shape=" << k << " threads=" << threads;
+      EXPECT_EQ(ref_traced.trace_events, traced.trace_events)
+          << "shape=" << k << " threads=" << threads;
+    }
+  }
+}
+
+// One-block fan-in on NCC0: the first 600 slots relay to their path
+// successors (shuffle off, so every receiver sits in block 0 at any width)
+// a full capacity of records carrying their own ID plus the IDs they heard
+// last round. Block 0 holds all of each round's inbox words, past the
+// skewed-block threshold (2^18 words) from the second round on, so its
+// learn pass is spread over every worker in equal-word chunks; the
+// knowledge counts must match the serial pass.
+RunFingerprint run_one_block_learn(unsigned threads, bool traced) {
+  constexpr std::size_t kN = 5003;  // block 0 is 626 slots at threads = 8
+  ncc::Config cfg;
+  cfg.seed = 77;
+  cfg.threads = threads;
+  cfg.shuffle_path = false;
+  ncc::Network net(kN, cfg);
+  ncc::Trace trace;
+  if (traced) net.set_trace(&trace);
+
+  RunFingerprint fp;
+  fp.inbox_digest.assign(kN, 0);
+  fp.bounce_digest.assign(kN, 0);
+  for (int r = 0; r < 8; ++r) {
+    net.round([&](Ctx& ctx) {
+      auto& in = fp.inbox_digest[ctx.slot()];
+      std::vector<NodeId> heard;
+      for (const auto m : ctx.inbox_view()) {
+        in = hash_mix(in, m.src(), m.tag());
+        for (std::size_t w = 0; w < m.size(); ++w) {
+          if (m.id_mask() & (1u << w)) heard.push_back(m.word(w));
+        }
+      }
+      const ncc::NodeRef succ = ctx.initial_successor();
+      if (ctx.slot() >= 600 || !succ) return;
+      for (int i = 0; i < ctx.capacity(); ++i) {
+        auto m = make_msg(4).push_id(ctx.id());
+        const auto at = 3 * static_cast<std::size_t>(i);
+        for (std::size_t k = 0; k < 3 && !heard.empty(); ++k)
+          m.push_id(heard[(at + k) % heard.size()]);
+        ctx.send(succ, m);
+      }
+    });
+  }
+  fp.net = testing::net_fingerprint(net);
+  return fp;
+}
+
+TEST(ParallelDeliver, OneBlockFanInLearnSpreadInvariant) {
+  const RunFingerprint ref = run_one_block_learn(1, /*traced=*/false);
+  // Knowledge travelled down the relaying prefix of the path.
+  EXPECT_GT(ref.net.knowledge[599], ref.net.knowledge[2000]);
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    EXPECT_TRUE(ref == run_one_block_learn(threads, false))
+        << "threads=" << threads;
+    EXPECT_TRUE(ref == run_one_block_learn(threads, true))
+        << "traced threads=" << threads;
   }
 }
 

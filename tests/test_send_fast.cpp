@@ -124,6 +124,46 @@ TEST(SendFast, Send1IdTeachesReceiverTheId) {
   EXPECT_EQ(net.known_slot_of(1, net.id_of(0)), 0u);
 }
 
+// Clique records carry no slot trailer, so MessageRef::ref_word looks the
+// ID up; that lookup counts against the reading node like any other.
+// Learning networks read the trailer and count nothing.
+TEST(SendFast, RefWordLookupsCountedOnCliqueOnly) {
+  constexpr std::size_t kN = 64;
+  constexpr int kIdWords = 3;
+  for (const bool clique : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      ncc::Config cfg;
+      cfg.seed = 12;
+      cfg.threads = threads;
+      if (clique) cfg.initial = ncc::InitialKnowledge::kClique;
+      Network net(kN, cfg);
+      net.round([&](Ctx& ctx) {
+        const ncc::NodeRef succ = ctx.initial_successor();
+        if (!succ) return;
+        ncc::Message m = ncc::make_msg(3);
+        for (int w = 0; w < kIdWords; ++w) ctx.push_id(m, ctx.self());
+        ctx.send(succ, m);
+      });
+      const std::uint64_t before = net.stats().id_resolutions;
+      EXPECT_EQ(before, 0u);
+      std::vector<std::uint64_t> reads(kN, 0);
+      net.round([&](Ctx& ctx) {
+        for (const auto m : ctx.inbox_view()) {
+          for (int w = 0; w < kIdWords; ++w) {
+            EXPECT_TRUE(m.ref_word(w) == m.src_ref());
+            ++reads[ctx.slot()];
+          }
+        }
+      });
+      std::uint64_t k = 0;
+      for (const std::uint64_t r : reads) k += r;
+      EXPECT_EQ(k, (kN - 1) * kIdWords);
+      EXPECT_EQ(net.stats().id_resolutions - before, clique ? k : 0u)
+          << "clique=" << clique << " threads=" << threads;
+    }
+  }
+}
+
 TEST(SendFast, Send1DiagnosticsMatchSendChecks) {
   ncc::Config cfg;
   cfg.seed = 4;
